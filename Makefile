@@ -31,7 +31,9 @@ fmt-check:
 # check is the CI gate: formatting, go vet, the phivet suite in both
 # modes (per-package via the vettool protocol, then the whole-module
 # scan that adds the cross-package checks), staticcheck and govulncheck
-# when installed, then the full suite under the race detector.
+# when installed, then the full suite under the race detector, then vet
+# and tests of the perfbench module (its own go.mod, so ./... above
+# never builds it, yet it imports the serving internals).
 check: fmt-check phivet
 	$(GO) vet ./...
 	$(GO) vet -vettool=$(CURDIR)/$(PHIVET) ./...
@@ -41,6 +43,8 @@ check: fmt-check phivet
 	@if command -v govulncheck >/dev/null 2>&1; then govulncheck ./...; \
 	else echo "govulncheck not installed, skipping (go install golang.org/x/vuln/cmd/govulncheck@latest)"; fi
 	$(GO) test -race ./...
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
 
 # fuzz-smoke gives each differential fuzz target a short bounded run: the
 # sim-vs-direct backend oracle and the bn arithmetic oracles. A smoke
@@ -98,9 +102,10 @@ backends:
 # exactly-once, breaker failover, concurrent Submit-vs-Close) plus the
 # env-gated hammer (TestFleetHammer): a 4-card soak with kernel failures,
 # stalls, breaker trips and work stealing all active, closed mid-traffic,
-# requiring every accepted request to resolve exactly once.
+# requiring every accepted request to resolve exactly once. The A8 model
+# invariants run against the virtual-time engine (internal/phisim).
 fleet:
-	$(GO) test -race -timeout=300s ./internal/phifleet
+	$(GO) test -race -timeout=300s ./internal/phifleet ./internal/phisim
 	PHIOPENSSL_FLEET=1 $(GO) test -race -timeout=300s -count=1 -run 'TestFleetHammer' ./internal/phifleet
 
 # overload is the admission-control acceptance gate: the phiadmit suite
@@ -110,7 +115,7 @@ fleet:
 # controller-fronted fleet past capacity with faults active, closed
 # mid-shed, requiring every admitted request to resolve exactly once.
 overload:
-	$(GO) test -race -timeout=300s ./internal/phiadmit
+	$(GO) test -race -timeout=300s ./internal/phiadmit ./internal/phisim
 	$(GO) test -race -timeout=300s -run 'TestSubmitRejectsDeadOnArrival|TestCanceledLanesDroppedAtSeal|TestOverflowCapSheds|TestRetryBudget|TestJobExpiry' \
 		./internal/phiserve ./internal/phipool
 	PHIOPENSSL_OVERLOAD=1 $(GO) test -race -timeout=300s -count=1 -run 'TestOverloadHammer' ./internal/phiadmit
@@ -126,7 +131,7 @@ overload:
 # Submit, and finally the <2% enabled-overhead budget re-checked with
 # journeys + tail sampling active.
 observe:
-	$(GO) test -race -timeout=300s ./internal/phitrace ./internal/telemetry
+	$(GO) test -race -timeout=300s ./internal/phitrace ./internal/telemetry ./internal/phisim
 	PHIOPENSSL_OBSERVE=1 $(GO) test -race -timeout=300s -count=1 -run 'TestObserveHammer' ./internal/phiadmit
 	$(GO) test -timeout=300s -run 'TestTelemetryOverhead' ./internal/bench
 

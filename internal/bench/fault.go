@@ -10,6 +10,7 @@ import (
 	"phiopenssl/internal/engine"
 	"phiopenssl/internal/knc"
 	"phiopenssl/internal/phiserve"
+	"phiopenssl/internal/phisim"
 	"phiopenssl/internal/rsakit"
 	"phiopenssl/internal/vpu"
 )
@@ -22,11 +23,11 @@ func init() {
 const a7Workers = 16
 
 // runA7 sweeps the per-lane per-pass fault rate through the virtual-time
-// fault model (phiserve.FaultModel): verified batch execution, bounded
-// retries, scalar non-CRT fallback and the circuit breaker. It quantifies
-// the price of surviving a faulty card — how goodput and tail latency
-// decay as faults climb from "none" to "every pass is poison", and where
-// the breaker gives up on the vector path entirely.
+// engine (phisim) with faults on: verified batch execution, bounded
+// retries, scalar non-CRT fallback and the live circuit breaker. It
+// quantifies the price of surviving a faulty card — how goodput and tail
+// latency decay as faults climb from "none" to "every pass is poison",
+// and where the breaker gives up on the vector path entirely.
 func runA7(o Options) *Table {
 	rng := rand.New(rand.NewSource(o.Seed + 107))
 	bits := 2048
@@ -38,31 +39,7 @@ func runA7(o Options) *Table {
 	key := keyFor(bits)
 	m := machine()
 
-	// Cost every fill count with a real metered *verified* kernel pass
-	// (CRT batch + Bellcore re-encryption check): the resilient server
-	// never runs an unverified pass, so neither does the model.
-	var costs [phiserve.BatchSize + 1]float64
-	for fill := 1; fill <= phiserve.BatchSize; fill++ {
-		cs := make([]bn.Nat, fill)
-		for l := range cs {
-			c, err := bn.RandomRange(rng, bn.One(), key.N)
-			if err != nil {
-				panic(err)
-			}
-			cs[l] = c
-		}
-		u := vpu.New()
-		_, laneErrs, err := rsakit.PrivateOpBatchVerifiedN(u, key, cs)
-		if err != nil {
-			panic(err)
-		}
-		for l, lerr := range laneErrs {
-			if lerr != nil {
-				panic(fmt.Sprintf("bench: clean pass failed verification at lane %d: %v", l, lerr))
-			}
-		}
-		costs[fill] = knc.KNCVectorCosts.VectorCycles(u.Counts())
-	}
+	costs := verifiedPassCosts(rng, key)
 
 	// Unverified full pass, for the verification-overhead footnote.
 	var unverified float64
@@ -94,15 +71,14 @@ func runA7(o Options) *Table {
 		}
 	})
 
-	model := phiserve.FaultModel{
-		LoadModel:  phiserve.LoadModel{Machine: m, Workers: a7Workers, CostPerFill: costs},
-		MaxRetries: 2,
-		ScalarCost: scalar,
-	}
 	pass := m.Latency(a7Workers, costs[phiserve.BatchSize])
-	capacity := float64(a7Workers*phiserve.BatchSize) / pass
-	deadline := time.Duration(pass * float64(time.Second)) // 1 full pass
-	load := 0.6 * capacity
+	faults := &phisim.Faults{ScalarCost: scalar}
+	sim := phisim.Config{
+		Machine: m, Cards: 1, Workers: a7Workers, CostPerFill: costs,
+		FillDeadline: time.Duration(pass * float64(time.Second)), // 1 full pass
+		Faults:       faults,
+	}
+	load := 0.6 * sim.Capacity()
 
 	t := &Table{
 		ID: "a7", Title: fmt.Sprintf("Lane fault rate vs goodput, RSA-%d verified streaming batches (%d workers, 60%% load)", bits, a7Workers),
@@ -113,8 +89,8 @@ func runA7(o Options) *Table {
 	}
 	rates := []float64{0, 1e-4, 1e-3, 1e-2, 0.05, 0.2}
 	for _, rate := range rates {
-		model.LaneFaultRate = rate
-		pt, err := model.Simulate(rng, reqs, load, deadline)
+		faults.Rate = rate
+		pt, _, err := sim.Simulate(rng, reqs, load)
 		if err != nil {
 			panic(err)
 		}
@@ -122,7 +98,7 @@ func runA7(o Options) *Table {
 			fmt.Sprintf("%g", rate),
 			fmt.Sprintf("%d", pt.FaultedLanes),
 			fmt.Sprintf("%d", pt.RetryPasses),
-			fmt.Sprintf("%.1f%%", 100*pt.FallbackFraction),
+			fmt.Sprintf("%.1f%%", 100*float64(pt.FallbackOps)/float64(pt.Requests)),
 			fmt.Sprintf("%d", pt.BreakerTrips),
 			fmt.Sprintf("%.0f", pt.CyclesPerOp),
 			f1(pt.Throughput),
@@ -138,6 +114,6 @@ func runA7(o Options) *Table {
 		"every pass pays the Bellcore re-encryption check; faulted lanes retry on fresh batches",
 		"(MaxRetries 2) then degrade to the scalar fallback; the breaker opens on the rolling",
 		"pass-fault rate and probes recovery after its cooldown. Poisson arrivals at 60% of",
-		"full-fill capacity, fill deadline = one pass (phiserve.FaultModel, seeded)")
+		"full-fill capacity, fill deadline = one pass (phisim engine, seeded)")
 	return t
 }

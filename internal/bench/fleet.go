@@ -5,12 +5,8 @@ import (
 	"math/rand"
 	"time"
 
-	"phiopenssl/internal/bn"
-	"phiopenssl/internal/knc"
-	"phiopenssl/internal/phifleet"
 	"phiopenssl/internal/phiserve"
-	"phiopenssl/internal/rsakit"
-	"phiopenssl/internal/vpu"
+	"phiopenssl/internal/phisim"
 )
 
 func init() {
@@ -21,8 +17,8 @@ func init() {
 const a8Workers = 16
 
 // runA8 sweeps fleet size against offered load through the virtual-time
-// fleet model (phifleet.Model): a handful of keys consistent-hashed over
-// the cards, Poisson arrivals, per-card executor sets, and work stealing
+// engine (phisim): a handful of keys homed by the live consistent-hash
+// ring, Poisson arrivals, per-card executor sets, and work stealing
 // re-homing batches whose card is busy. The acceptance row is the fixed
 // saturating load (3.6x one card's full-fill capacity): a 4-card fleet
 // with stealing must sustain >=3x the single card's throughput while mean
@@ -35,7 +31,7 @@ func runA8(o Options) *Table {
 	bits := 2048
 	// The trace must be long against one kernel pass, or the fixed
 	// drain-the-last-pass tail eats into the measured throughput ratio;
-	// the model is virtual-time, so a long trace costs microseconds.
+	// the engine is virtual-time, so a long trace costs microseconds.
 	reqs := 30000
 	if o.Quick {
 		bits = 512
@@ -44,42 +40,18 @@ func runA8(o Options) *Table {
 	key := keyFor(bits)
 	m := machine()
 
-	// Cost every fill count with a real metered verified kernel pass,
-	// exactly as A6 does for the single-card model.
-	var costs [phiserve.BatchSize + 1]float64
-	for fill := 1; fill <= phiserve.BatchSize; fill++ {
-		cs := make([]bn.Nat, fill)
-		for l := range cs {
-			c, err := bn.RandomRange(rng, bn.One(), key.N)
-			if err != nil {
-				panic(err)
-			}
-			cs[l] = c
-		}
-		u := vpu.New()
-		_, laneErrs, err := rsakit.PrivateOpBatchVerifiedN(u, key, cs)
-		if err != nil {
-			panic(err)
-		}
-		for l, lerr := range laneErrs {
-			if lerr != nil {
-				panic(fmt.Sprintf("bench: clean pass failed verification at lane %d: %v", l, lerr))
-			}
-		}
-		costs[fill] = knc.KNCVectorCosts.VectorCycles(u.Counts())
-	}
+	costs := verifiedPassCosts(rng, key)
 
 	pass := m.Latency(a8Workers, costs[phiserve.BatchSize])
-	capacity := float64(a8Workers*phiserve.BatchSize) / pass // one card, req/s
-	deadline := time.Duration(0.5 * pass * float64(time.Second))
 	const keys = 8
-
-	model := func(cards int, steal bool) phifleet.Model {
-		return phifleet.Model{
-			Machine: m, Workers: a8Workers, CostPerFill: costs,
-			Cards: cards, Keys: keys, Steal: steal,
+	sim := func(cards int, steal bool) phisim.Config {
+		return phisim.Config{
+			Machine: m, Cards: cards, Workers: a8Workers, CostPerFill: costs,
+			FillDeadline: time.Duration(0.5 * pass * float64(time.Second)),
+			Homes:        phisim.RingHomes(cards, keys), Steal: steal,
 		}
 	}
+	capacity := sim(1, false).Capacity() // one card, req/s
 
 	t := &Table{
 		ID: "a8", Title: fmt.Sprintf("Fleet scaling, RSA-%d streaming batches (%d keys, %d workers/card, deadline 0.5 pass)", bits, keys, a8Workers),
@@ -100,7 +72,7 @@ func runA8(o Options) *Table {
 			}
 			for _, lf := range loads {
 				cellRng := rand.New(rand.NewSource(o.Seed + 108))
-				pt, err := model(cards, steal).Simulate(cellRng, reqs, lf*capacity, deadline)
+				pt, _, err := sim(cards, steal).Simulate(cellRng, reqs, lf*capacity)
 				if err != nil {
 					panic(err)
 				}
@@ -140,6 +112,6 @@ func runA8(o Options) *Table {
 		"stealing must reach >=3x). Mean fill is arrival/deadline-driven, so stealing moves work",
 		"without starving batches. With 8 keys hashed over the cards the no-steal rows bottleneck on",
 		"the hottest card; stealing re-homes busy-card batches to the globally earliest-free executor.",
-		"Poisson arrivals, virtual-time model (phifleet.Model); same identical trace per cards/steal cell.")
+		"Poisson arrivals, virtual-time engine (phisim); same identical trace per cards/steal cell.")
 	return t
 }

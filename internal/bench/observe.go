@@ -6,12 +6,9 @@ import (
 	"strings"
 	"time"
 
-	"phiopenssl/internal/bn"
-	"phiopenssl/internal/knc"
 	"phiopenssl/internal/phiserve"
+	"phiopenssl/internal/phisim"
 	"phiopenssl/internal/phitrace"
-	"phiopenssl/internal/rsakit"
-	"phiopenssl/internal/vpu"
 )
 
 func init() {
@@ -23,15 +20,15 @@ func init() {
 const a10Cards = 2
 
 // runA10 sweeps offered load from 1x to 4x of the two-card fleet's
-// capacity through the virtual-time observability model (phitrace.Model):
-// the same batching + admission policies as A9, but multi-card and
-// driving a real journey Recorder with the virtual clock. The table shows
-// the journey stream's accounting at each point — every arrival resolves
-// exactly one journey, anomalous journeys are all kept, normal
-// completions are sampled 1-in-16 — and the 4x row is the acceptance
-// point: the shed storm auto-triggers an incident snapshot naming the
-// dominant shedding tenant and the card whose backlog tripped it, and the
-// per-tenant SLO burn gauges read far above 1.
+// capacity through the virtual-time engine (phisim): the A9 stack spread
+// over two cards (key k homed on card k mod 2), driving a real journey
+// Recorder on the virtual clock. The table shows the journey stream's
+// accounting at each point — every arrival resolves exactly one journey,
+// anomalous journeys are all kept, normal completions are sampled
+// 1-in-16 — and the 4x row is the acceptance point: the shed storm
+// auto-triggers an incident snapshot naming the dominant shedding tenant
+// and the card whose backlog tripped it, and the per-tenant SLO burn
+// gauges read far above 1.
 func runA10(o Options) *Table {
 	rng := rand.New(rand.NewSource(o.Seed + 110))
 	bits := 2048
@@ -43,58 +40,25 @@ func runA10(o Options) *Table {
 	key := keyFor(bits)
 	m := machine()
 
-	// Cost every fill count with a real metered verified kernel pass,
-	// exactly as A6/A8/A9 do.
-	var costs [phiserve.BatchSize + 1]float64
-	for fill := 1; fill <= phiserve.BatchSize; fill++ {
-		cs := make([]bn.Nat, fill)
-		for l := range cs {
-			c, err := bn.RandomRange(rng, bn.One(), key.N)
-			if err != nil {
-				panic(err)
-			}
-			cs[l] = c
-		}
-		u := vpu.New()
-		_, laneErrs, err := rsakit.PrivateOpBatchVerifiedN(u, key, cs)
-		if err != nil {
-			panic(err)
-		}
-		for l, lerr := range laneErrs {
-			if lerr != nil {
-				panic(fmt.Sprintf("bench: clean pass failed verification at lane %d: %v", l, lerr))
-			}
-		}
-		costs[fill] = knc.KNCVectorCosts.VectorCycles(u.Counts())
-	}
+	costs := verifiedPassCosts(rng, key)
 
 	pass := m.Latency(a9Workers, costs[phiserve.BatchSize])
 	dur := func(x float64) time.Duration {
 		return time.Duration(x * pass * float64(time.Second))
 	}
-	model := phitrace.Model{
-		Machine:       m,
-		Cards:         a10Cards,
-		Workers:       a9Workers,
-		CostPerFill:   costs,
-		Keys:          4,
-		FillDeadline:  dur(0.26),
-		SLO:           dur(2.6),
-		BrownoutEnter: dur(1.82),
-		BrownoutExit:  dur(1.37),
-		Margin:        0.25,
-		Tenants: []phitrace.ModelTenant{
-			{ID: "gold", Share: 0.5, Weight: 10},
-			{ID: "silver", Share: 0.3, Weight: 3},
-			{ID: "bronze", Share: 0.2, Weight: 1},
-		},
+	sim := phisim.Config{
+		Machine: m, Cards: a10Cards, Workers: a9Workers, CostPerFill: costs,
+		FillDeadline: dur(0.26), Homes: phisim.ModHomes(a10Cards, 4),
+		Tenants: a9Tenants, SLO: dur(2.6),
+		Door:     &phisim.Door{Margin: 0.25, BrownoutEnter: dur(1.82), BrownoutExit: dur(1.37)},
+		Journeys: &phitrace.Config{RingSize: 512, SampleN: 16},
 	}
-	capacity := model.Capacity()
+	capacity := sim.Capacity()
 
 	t := &Table{
 		ID: "a10",
 		Title: fmt.Sprintf("Request journeys under overload, RSA-%d (%d cards x %d workers, SLO %.0fms, sample 1-in-16)",
-			bits, a10Cards, a9Workers, 1e3*model.SLO.Seconds()),
+			bits, a10Cards, a9Workers, 1e3*sim.SLO.Seconds()),
 		Columns: []string{
 			"load", "offered req/s", "admitted", "shed slo", "shed fair", "dropped",
 			"goodput", "p99 adm ms", "resolved", "kept anom", "kept samp", "discarded", "incidents", "burn all",
@@ -103,8 +67,7 @@ func runA10(o Options) *Table {
 
 	for _, lf := range []float64{1, 2, 4} {
 		cellRng := rand.New(rand.NewSource(o.Seed + 110))
-		pt, rec, err := model.Simulate(cellRng, reqs, lf*capacity,
-			phitrace.Config{RingSize: 512, SampleN: 16})
+		pt, rec, err := sim.Simulate(cellRng, reqs, lf*capacity)
 		if err != nil {
 			panic(err)
 		}
@@ -117,7 +80,7 @@ func runA10(o Options) *Table {
 			fmt.Sprintf("%d", pt.ShedTenant),
 			fmt.Sprintf("%d", pt.Expired),
 			f1(pt.Goodput),
-			f2(1e3 * pt.P99Admitted.Seconds()),
+			f2(1e3 * pt.P99Latency.Seconds()),
 			fmt.Sprintf("%d", c.Resolved),
 			fmt.Sprintf("%d", c.KeptAnomalous),
 			fmt.Sprintf("%d", c.KeptSampled),
@@ -128,10 +91,15 @@ func runA10(o Options) *Table {
 		// The acceptance point: the 4x shed storm's incident trail and the
 		// per-tenant burn gauges go into the report verbatim.
 		if lf == 4 {
-			for _, b := range pt.Incidents {
-				line := fmt.Sprintf("4x incident %-14s at %8.1fms", b.Kind, b.AtMS)
-				if b.Kind == "shed-storm" {
-					line += fmt.Sprintf("  tenant=%s card=%d sheds=%d", b.Tenant, b.Card, b.Sheds)
+			incs := rec.Incidents()
+			for i := len(incs) - 1; i >= 0; i-- { // oldest first
+				inc := incs[i]
+				// Virtual time starts at the Unix epoch.
+				line := fmt.Sprintf("4x incident %-14s at %8.1fms", inc.Kind,
+					float64(inc.At.UnixNano())/float64(time.Millisecond))
+				if inc.Kind == "shed-storm" {
+					line += fmt.Sprintf("  tenant=%v card=%v sheds=%v",
+						inc.Fields["tenant"], inc.Fields["card"], inc.Fields["sheds_in_window"])
 				}
 				t.Notes = append(t.Notes, line)
 			}
@@ -153,7 +121,7 @@ func runA10(o Options) *Table {
 		"so 'kept anom'+'kept samp'+'discarded' = 'resolved' at every load point.",
 		"'burn all' is the aggregate SLO burn rate (bad fraction over the 5% error budget) at run end;",
 		"the 4x shed storm auto-triggers a shed-storm incident naming the dominant tenant and card.",
-		"Poisson arrivals, virtual-time model (phitrace.Model); identical trace per load cell.")
+		"Poisson arrivals, virtual-time engine (phisim); identical trace per load cell.")
 	return t
 }
 

@@ -7,10 +7,9 @@ import (
 
 	"phiopenssl/internal/bn"
 	"phiopenssl/internal/engine"
-	"phiopenssl/internal/knc"
 	"phiopenssl/internal/phiserve"
+	"phiopenssl/internal/phisim"
 	"phiopenssl/internal/rsakit"
-	"phiopenssl/internal/vpu"
 )
 
 func init() {
@@ -23,8 +22,8 @@ func init() {
 const a6Workers = 16
 
 // runA6 sweeps the streaming scheduler's fill deadline against offered
-// load through the deterministic virtual-time model (phiserve.LoadModel),
-// costing every pass with real metered PrivateOpBatchN cycles. It shows
+// load through the virtual-time engine (phisim) on one card, costing
+// every pass with real metered verified-pass cycles. It shows
 // the deadline as the latency/throughput knob: short deadlines dispatch
 // starved batches (per-op cost drifts toward the horizontal engine's),
 // long deadlines fill the lanes but make early arrivals wait.
@@ -39,32 +38,7 @@ func runA6(o Options) *Table {
 	key := keyFor(bits)
 	m := machine()
 
-	// Cost every fill count with a real metered *verified* kernel pass
-	// (CRT batch + Bellcore re-encryption check) — the cost the resilient
-	// server actually pays. Padding makes the pass lane-uniform, but
-	// measuring each fill keeps the model honest about it.
-	var costs [phiserve.BatchSize + 1]float64
-	for fill := 1; fill <= phiserve.BatchSize; fill++ {
-		cs := make([]bn.Nat, fill)
-		for l := range cs {
-			c, err := bn.RandomRange(rng, bn.One(), key.N)
-			if err != nil {
-				panic(err)
-			}
-			cs[l] = c
-		}
-		u := vpu.New()
-		_, laneErrs, err := rsakit.PrivateOpBatchVerifiedN(u, key, cs)
-		if err != nil {
-			panic(err)
-		}
-		for l, lerr := range laneErrs {
-			if lerr != nil {
-				panic(fmt.Sprintf("bench: clean pass failed verification at lane %d: %v", l, lerr))
-			}
-		}
-		costs[fill] = knc.KNCVectorCosts.VectorCycles(u.Counts())
-	}
+	costs := verifiedPassCosts(rng, key)
 
 	// The per-op (horizontal) engine is the floor the scheduler has to
 	// beat once batches fill.
@@ -75,9 +49,9 @@ func runA6(o Options) *Table {
 		}
 	})
 
-	model := phiserve.LoadModel{Machine: m, Workers: a6Workers, CostPerFill: costs}
+	sim := phisim.Config{Machine: m, Cards: 1, Workers: a6Workers, CostPerFill: costs}
 	pass := m.Latency(a6Workers, costs[phiserve.BatchSize]) // one full kernel pass, seconds
-	capacity := float64(a6Workers*phiserve.BatchSize) / pass
+	capacity := sim.Capacity()
 
 	t := &Table{
 		ID: "a6", Title: fmt.Sprintf("Fill deadline vs offered load, RSA-%d streaming batches (%d workers)", bits, a6Workers),
@@ -89,9 +63,9 @@ func runA6(o Options) *Table {
 	deadlines := []float64{0.05, 0.25, 1, 4} // x one full pass
 	loads := []float64{0.05, 0.2, 0.6, 0.9}  // x full-fill capacity
 	for _, df := range deadlines {
-		deadline := time.Duration(df * pass * float64(time.Second))
+		sim.FillDeadline = time.Duration(df * pass * float64(time.Second))
 		for _, lf := range loads {
-			pt, err := model.Simulate(rng, reqs, lf*capacity, deadline)
+			pt, _, err := sim.Simulate(rng, reqs, lf*capacity)
 			if err != nil {
 				panic(err)
 			}
@@ -115,6 +89,6 @@ func runA6(o Options) *Table {
 			perOp, costs[phiserve.BatchSize]/perOp),
 		"a partial batch pads unused lanes and costs a full pass, so short deadlines at light",
 		"load waste lanes (cycles/op rises toward the singleton cost); longer deadlines trade",
-		"p50/p99 latency for fill. Poisson arrivals, virtual-time model (phiserve.LoadModel)")
+		"p50/p99 latency for fill. Poisson arrivals, virtual-time engine (phisim)")
 	return t
 }

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"math/rand"
 
 	"phiopenssl/internal/baseline"
@@ -8,6 +9,9 @@ import (
 	"phiopenssl/internal/core"
 	"phiopenssl/internal/engine"
 	"phiopenssl/internal/knc"
+	"phiopenssl/internal/phiserve"
+	"phiopenssl/internal/rsakit"
+	"phiopenssl/internal/vpu"
 )
 
 // machine returns the simulated card all experiments report against.
@@ -64,4 +68,35 @@ func measure(e engine.Engine, f func(engine.Engine)) float64 {
 	e.Reset()
 	f(e)
 	return e.Cycles()
+}
+
+// verifiedPassCosts meters one *verified* kernel pass (CRT batch plus the
+// Bellcore re-encryption check, the pass the resilient server always
+// runs) at every fill count, with ciphertexts drawn from rng. Padding
+// makes a pass lane-uniform, but measuring each fill keeps the serving
+// simulations honest about it.
+func verifiedPassCosts(rng *rand.Rand, key *rsakit.PrivateKey) [phiserve.BatchSize + 1]float64 {
+	var costs [phiserve.BatchSize + 1]float64
+	for fill := 1; fill <= phiserve.BatchSize; fill++ {
+		cs := make([]bn.Nat, fill)
+		for l := range cs {
+			c, err := bn.RandomRange(rng, bn.One(), key.N)
+			if err != nil {
+				panic(err)
+			}
+			cs[l] = c
+		}
+		u := vpu.New()
+		_, laneErrs, err := rsakit.PrivateOpBatchVerifiedN(u, key, cs)
+		if err != nil {
+			panic(err)
+		}
+		for l, lerr := range laneErrs {
+			if lerr != nil {
+				panic(fmt.Sprintf("bench: clean pass failed verification at lane %d: %v", l, lerr))
+			}
+		}
+		costs[fill] = knc.KNCVectorCosts.VectorCycles(u.Counts())
+	}
+	return costs
 }

@@ -1,4 +1,7 @@
-package phiadmit
+package phiadmit_test
+
+// Experiment A9 runs this door on the virtual-time engine
+// (internal/phisim). These tests pin that model.
 
 import (
 	mrand "math/rand"
@@ -7,30 +10,33 @@ import (
 
 	"phiopenssl/internal/knc"
 	"phiopenssl/internal/phiserve"
+	"phiopenssl/internal/phisim"
 )
 
 // a9Model is the experiment configuration the bench also uses (the probe
-// parameters validated against the acceptance criteria): a two-key mix so
-// batches fill near 16 lanes at nominal load, a 40ms SLO, and the
-// gold/silver/bronze tenant mix.
-func a9Model() Model {
-	m := Model{
+// parameters validated against the acceptance criteria): one card, a
+// two-key mix so batches fill near 16 lanes at nominal load, a 40ms SLO,
+// and the gold/silver/bronze tenant mix.
+func a9Model(admission bool) phisim.Config {
+	m := phisim.Config{
 		Machine:      knc.Default(),
+		Cards:        1,
 		Workers:      8,
-		Keys:         2,
+		Homes:        phisim.ModHomes(1, 2),
 		FillDeadline: 4 * time.Millisecond,
 		SLO:          40 * time.Millisecond,
-		Margin:       0.25,
-		// The estimate's floor is FillDeadline + one full pass (~19.4ms), so
-		// the thresholds sit above it: brownout can always exit, and light
-		// load never trips it.
-		BrownoutEnter: 28 * time.Millisecond,
-		BrownoutExit:  21 * time.Millisecond,
-		Tenants: []ModelTenant{
+		Tenants: []phisim.Tenant{
 			{ID: "gold", Share: 0.5, Weight: 10},
 			{ID: "silver", Share: 0.3, Weight: 3},
 			{ID: "bronze", Share: 0.2, Weight: 1},
 		},
+	}
+	if admission {
+		// The estimate's floor is FillDeadline + one full pass (~19.4ms),
+		// so the thresholds sit above it: brownout can always exit, and
+		// light load never trips it.
+		m.Door = &phisim.Door{Margin: 0.25,
+			BrownoutEnter: 28 * time.Millisecond, BrownoutExit: 21 * time.Millisecond}
 	}
 	for f := 1; f <= phiserve.BatchSize; f++ {
 		m.CostPerFill[f] = 9.5e6
@@ -44,22 +50,22 @@ func a9Model() Model {
 // SLO, and no expired lane ever reaches execution; with admission off the
 // metastable collapse is visible (expired lanes do execute).
 func TestModelOverloadInvariants(t *testing.T) {
-	m := a9Model()
+	m := a9Model(true)
 	offered := 4 * m.Capacity()
 	const n = 60000
-	on, err := m.Simulate(mrand.New(mrand.NewSource(7)), n, offered, true)
+	on, _, err := m.Simulate(mrand.New(mrand.NewSource(7)), n, offered)
 	if err != nil {
 		t.Fatal(err)
 	}
-	off, err := m.Simulate(mrand.New(mrand.NewSource(7)), n, offered, false)
+	off, _, err := a9Model(false).Simulate(mrand.New(mrand.NewSource(7)), n, offered)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if on.ExpiredExecuted != 0 {
 		t.Fatalf("admission on: %d expired lanes reached execution", on.ExpiredExecuted)
 	}
-	if on.P99Admitted > m.SLO {
-		t.Fatalf("admission on: p99 of admitted %v exceeds SLO %v", on.P99Admitted, m.SLO)
+	if on.P99Latency > m.SLO {
+		t.Fatalf("admission on: p99 of admitted %v exceeds SLO %v", on.P99Latency, m.SLO)
 	}
 	if on.Goodput < 2*off.Goodput {
 		t.Fatalf("admission on goodput %.0f < 2x off goodput %.0f", on.Goodput, off.Goodput)
@@ -73,7 +79,7 @@ func TestModelOverloadInvariants(t *testing.T) {
 		t.Fatalf("door accounting: %d of %d arrivals", got, n)
 	}
 	// Brownout fair queuing bites the low-weight tenant hardest.
-	byID := map[string]TenantPoint{}
+	byID := map[string]phisim.TenantPoint{}
 	for _, tp := range on.Tenants {
 		byID[tp.ID] = tp
 	}
@@ -92,9 +98,9 @@ func TestModelOverloadInvariants(t *testing.T) {
 // invisible — nothing sheds, nothing expires, goodput tracks the offered
 // rate.
 func TestModelLightLoadAdmitsEverything(t *testing.T) {
-	m := a9Model()
+	m := a9Model(true)
 	offered := 0.5 * m.Capacity()
-	pt, err := m.Simulate(mrand.New(mrand.NewSource(7)), 20000, offered, true)
+	pt, _, err := m.Simulate(mrand.New(mrand.NewSource(7)), 20000, offered)
 	if err != nil {
 		t.Fatal(err)
 	}

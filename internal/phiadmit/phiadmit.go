@@ -138,7 +138,8 @@ type Config struct {
 	Clock func() time.Time
 }
 
-func (c Config) withDefaults() Config {
+// WithDefaults returns c with every zero field set to its default.
+func (c Config) WithDefaults() Config {
 	if c.SLO <= 0 {
 		c.SLO = 50 * time.Millisecond
 	}
@@ -239,7 +240,7 @@ type Controller struct {
 // New builds a controller in front of backend. The backend must already be
 // constructed (it is Started and Closed by its owner, not the controller).
 func New(backend Backend, cfg Config) *Controller {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	tel := cfg.Telemetry
 	if tel == nil || tel.Registry == nil {
 		priv := telemetry.NewRegistry()

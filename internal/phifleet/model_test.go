@@ -1,4 +1,8 @@
-package phifleet
+package phifleet_test
+
+// Experiment A8 runs this fleet's sharding on the virtual-time engine
+// (internal/phisim): keys homed by the live ring, per-card executors and
+// stealing. These tests pin that model.
 
 import (
 	"math"
@@ -8,22 +12,25 @@ import (
 
 	"phiopenssl/internal/knc"
 	"phiopenssl/internal/phiserve"
-	"phiopenssl/internal/phiwork"
+	"phiopenssl/internal/phisim"
 )
 
-// testModel builds a model with a flat synthetic pass cost (real passes
-// are lane-uniform too — padding makes a partial pass cost a full one).
-func testModel(cards int, steal bool) Model {
-	m := Model{
+// testModel builds an 8-key fleet with a flat synthetic pass cost (real
+// passes are lane-uniform too — padding makes a partial pass cost a full
+// one).
+func testModel(cards int, steal bool) phisim.Config {
+	m := phisim.Config{
 		Machine: knc.Default(),
-		Workers: 4,
 		Cards:   cards,
-		Keys:    8,
+		Workers: 4,
+		Homes:   phisim.RingHomes(cards, 8),
 		Steal:   steal,
 	}
 	for f := 1; f <= phiserve.BatchSize; f++ {
 		m.CostPerFill[f] = 2e6
 	}
+	pass := m.Machine.Latency(m.Workers, m.CostPerFill[phiserve.BatchSize])
+	m.FillDeadline = time.Duration(0.5 * pass * float64(time.Second))
 	return m
 }
 
@@ -35,16 +42,13 @@ func TestFleetModelScalingAcceptance(t *testing.T) {
 	const n = 4000
 	one := testModel(1, true)
 	four := testModel(4, true)
-	pass := one.Machine.Latency(one.Workers, one.CostPerFill[phiserve.BatchSize])
-	capacity := float64(one.Workers*phiserve.BatchSize) / pass
-	deadline := time.Duration(0.5 * pass * float64(time.Second))
-	offered := 3.6 * capacity
+	offered := 3.6 * one.Capacity()
 
-	p1, err := one.Simulate(rand.New(rand.NewSource(1)), n, offered, deadline)
+	p1, _, err := one.Simulate(rand.New(rand.NewSource(1)), n, offered)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p4, err := four.Simulate(rand.New(rand.NewSource(1)), n, offered, deadline)
+	p4, _, err := four.Simulate(rand.New(rand.NewSource(1)), n, offered)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +65,7 @@ func TestFleetModelScalingAcceptance(t *testing.T) {
 	// Stealing is what closes the gap: without it the hottest card's
 	// backlog drags fleet throughput below the stealing fleet's.
 	noSteal := testModel(4, false)
-	pn, err := noSteal.Simulate(rand.New(rand.NewSource(1)), n, offered, deadline)
+	pn, _, err := noSteal.Simulate(rand.New(rand.NewSource(1)), n, offered)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,85 +82,20 @@ func TestFleetModelScalingAcceptance(t *testing.T) {
 func TestFleetModelValidation(t *testing.T) {
 	m := testModel(2, true)
 	rng := rand.New(rand.NewSource(1))
-	if _, err := m.Simulate(rng, 0, 100, time.Millisecond); err == nil {
+	if _, _, err := m.Simulate(rng, 0, 100); err == nil {
 		t.Fatal("n=0 must error")
 	}
-	if _, err := m.Simulate(rng, 10, 0, time.Millisecond); err == nil {
+	if _, _, err := m.Simulate(rng, 10, 0); err == nil {
 		t.Fatal("offered=0 must error")
 	}
 	bad := m
 	bad.CostPerFill[7] = 0
-	if _, err := bad.Simulate(rng, 10, 100, time.Millisecond); err == nil {
+	if _, _, err := bad.Simulate(rng, 10, 100); err == nil {
 		t.Fatal("missing cost must error")
 	}
 	bad = m
 	bad.Cards = 0
-	if _, err := bad.Simulate(rng, 10, 100, time.Millisecond); err == nil {
+	if _, _, err := bad.Simulate(rng, 10, 100); err == nil {
 		t.Fatal("cards=0 must error")
-	}
-}
-
-// TestRingProperties: the ring's order is deterministic, covers every
-// card exactly once, and distributes keys reasonably.
-func TestRingProperties(t *testing.T) {
-	r := newRing(4, 16)
-	keys, _, _ := keySet(t, 12)
-	counts := make([]int, 4)
-	for _, k := range keys {
-		o1 := r.order(phiwork.RSAPrivateFor(k))
-		o2 := r.order(phiwork.RSAPrivateFor(k))
-		if len(o1) != 4 {
-			t.Fatalf("order length %d, want 4", len(o1))
-		}
-		seen := make(map[int]bool)
-		for i, c := range o1 {
-			if o2[i] != c {
-				t.Fatal("order not deterministic")
-			}
-			if seen[c] {
-				t.Fatal("order repeats a card")
-			}
-			seen[c] = true
-		}
-		counts[o1[0]]++
-	}
-	spread := 0
-	for _, c := range counts {
-		if c > 0 {
-			spread++
-		}
-	}
-	if spread < 2 {
-		t.Fatalf("12 keys all homed on one card: %v", counts)
-	}
-}
-
-// TestHotTrackerThreshold: a key is hot only while it beats one full
-// batch per window.
-func TestHotTrackerThreshold(t *testing.T) {
-	h := newHotTracker(time.Second, phiserve.BatchSize)
-	now := time.Unix(0, 0)
-	h.now = func() time.Time { return now }
-	keys, _, _ := keySet(t, 2)
-
-	// Slow key: one arrival per window, never hot.
-	for i := 0; i < 5; i++ {
-		if h.observe(phiwork.RSAPrivateFor(keys[0])) {
-			t.Fatal("slow key marked hot")
-		}
-		now = now.Add(time.Second)
-	}
-	// Burst key: a full batch inside one window flips it hot immediately.
-	hot := false
-	for i := 0; i < phiserve.BatchSize; i++ {
-		hot = h.observe(phiwork.RSAPrivateFor(keys[1]))
-	}
-	if !hot {
-		t.Fatal("bursting key never marked hot")
-	}
-	// After a quiet window it cools down.
-	now = now.Add(2 * time.Second)
-	if h.observe(phiwork.RSAPrivateFor(keys[1])) {
-		t.Fatal("key stayed hot through a quiet window")
 	}
 }

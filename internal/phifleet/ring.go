@@ -66,7 +66,11 @@ func newRing(cards, vnodes int) *ring {
 // workload's RouteBytes (kind + modulus), so two kinds over the same key
 // — decryption and signing, say — can land on different home cards.
 func (r *ring) order(w phiwork.Workload) []int {
-	h := hashBytes(w.RouteBytes())
+	return r.orderOf(hashBytes(w.RouteBytes()))
+}
+
+// orderOf is order for a precomputed route hash.
+func (r *ring) orderOf(h uint64) []int {
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].pos >= h })
 	out := make([]int, 0, r.cards)
 	seen := make([]bool, r.cards)
@@ -78,6 +82,13 @@ func (r *ring) order(w phiwork.Workload) []int {
 		}
 	}
 	return out
+}
+
+// HomeCard returns the card that owns route hash h on the default ring of
+// a cards-card fleet: where the live router homes a key hashing to h.
+func HomeCard(cards int, h uint64) int {
+	c := Config{Cards: cards}.withDefaults()
+	return newRing(c.Cards, c.VNodes).orderOf(h)[0]
 }
 
 // hotTracker watches per-workload arrival rates. A workload is hot while

@@ -202,3 +202,32 @@ func (b *breaker) snapshot() (breakerState, int64) {
 	defer b.mu.Unlock()
 	return b.state, b.trips
 }
+
+// Breaker is the server's circuit breaker for callers that drive the same
+// policy on their own clock, such as the virtual-time simulator.
+type Breaker struct{ b *breaker }
+
+// NewBreaker returns a breaker with r's breaker settings (zero fields take
+// the Resilience defaults) that reads time from now.
+func NewBreaker(r Resilience, now func() time.Time) *Breaker {
+	r = r.WithDefaults()
+	b := newBreaker(r.BreakerWindow, r.BreakerThreshold, r.BreakerMinSamples, r.BreakerCooldown)
+	b.now = now
+	return &Breaker{b}
+}
+
+// AllowVector reports whether the next pass may use the vector path and
+// whether it is the half-open probe.
+func (b *Breaker) AllowVector() (ok, probe bool) { return b.b.allowVector() }
+
+// Record feeds one pass outcome back; probe is AllowVector's flag.
+func (b *Breaker) Record(faulty, probe bool) { b.b.record(faulty, probe) }
+
+// Healthy reports whether the breaker is closed.
+func (b *Breaker) Healthy() bool { return b.b.healthy() }
+
+// Trips counts closed->open transitions, failed probes included.
+func (b *Breaker) Trips() int64 {
+	_, trips := b.b.snapshot()
+	return trips
+}

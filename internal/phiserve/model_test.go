@@ -1,61 +1,64 @@
-package phiserve
+package phiserve_test
+
+// Experiment A6 runs this scheduler's batching policy on one card of the
+// virtual-time engine (internal/phisim). These tests pin that model.
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
 	"phiopenssl/internal/knc"
+	"phiopenssl/internal/phiserve"
+	"phiopenssl/internal/phisim"
 )
 
-// modelCosts is a synthetic lane-uniform cost table: every fill charges
-// the same full-pass price, like the real padded kernel.
-func modelCosts(pass float64) [BatchSize + 1]float64 {
-	var c [BatchSize + 1]float64
-	for f := 1; f <= BatchSize; f++ {
-		c[f] = pass
+// testModel is one 8-worker card with a synthetic lane-uniform cost
+// table: every fill charges the same full-pass price, like the real
+// padded kernel.
+func testModel(deadline time.Duration) phisim.Config {
+	m := phisim.Config{Machine: knc.Default(), Cards: 1, Workers: 8, FillDeadline: deadline}
+	for f := 1; f <= phiserve.BatchSize; f++ {
+		m.CostPerFill[f] = 2e6
 	}
-	return c
-}
-
-func testModel() LoadModel {
-	return LoadModel{Machine: knc.Default(), Workers: 8, CostPerFill: modelCosts(2e6)}
+	return m
 }
 
 func TestSimulateValidation(t *testing.T) {
-	m := testModel()
+	m := testModel(time.Millisecond)
 	rng := rand.New(rand.NewSource(1))
-	if _, err := m.Simulate(rng, 0, 100, time.Millisecond); err == nil {
+	if _, _, err := m.Simulate(rng, 0, 100); err == nil {
 		t.Fatal("n=0 accepted")
 	}
-	if _, err := m.Simulate(rng, 10, 0, time.Millisecond); err == nil {
+	if _, _, err := m.Simulate(rng, 10, 0); err == nil {
 		t.Fatal("zero load accepted")
 	}
 	bad := m
 	bad.CostPerFill[9] = 0
-	if _, err := bad.Simulate(rng, 10, 100, time.Millisecond); err == nil {
+	if _, _, err := bad.Simulate(rng, 10, 100); err == nil {
 		t.Fatal("unmeasured fill cost accepted")
 	}
 }
 
 func TestSimulateDeterministic(t *testing.T) {
-	m := testModel()
-	a, err := m.Simulate(rand.New(rand.NewSource(42)), 2000, 5000, time.Millisecond)
+	m := testModel(time.Millisecond)
+	a, _, err := m.Simulate(rand.New(rand.NewSource(42)), 2000, 5000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := m.Simulate(rand.New(rand.NewSource(42)), 2000, 5000, time.Millisecond)
+	b, _, err := m.Simulate(rand.New(rand.NewSource(42)), 2000, 5000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a != b {
+	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("same seed diverged:\n%+v\n%+v", a, b)
 	}
-	c, err := m.Simulate(rand.New(rand.NewSource(43)), 2000, 5000, time.Millisecond)
+	c, _, err := m.Simulate(rand.New(rand.NewSource(43)), 2000, 5000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a == c {
+	if reflect.DeepEqual(a, c) {
 		t.Fatal("different seeds produced identical points")
 	}
 }
@@ -63,11 +66,11 @@ func TestSimulateDeterministic(t *testing.T) {
 // TestSimulateFillTracksLoad: heavy traffic fills every lane, starved
 // traffic with a short deadline dispatches near-singleton batches.
 func TestSimulateFillTracksLoad(t *testing.T) {
-	m := testModel()
+	m := testModel(time.Millisecond)
 	// One full pass takes latency(8 workers, 2e6 cycles); offer requests
 	// far faster than 16 per pass.
-	pass := m.Machine.Latency(m.Workers, m.CostPerFill[BatchSize])
-	heavy, err := m.Simulate(rand.New(rand.NewSource(7)), 4000, 200*BatchSize/pass, time.Millisecond)
+	pass := m.Machine.Latency(m.Workers, m.CostPerFill[phiserve.BatchSize])
+	heavy, _, err := m.Simulate(rand.New(rand.NewSource(7)), 4000, 200*phiserve.BatchSize/pass)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +79,7 @@ func TestSimulateFillTracksLoad(t *testing.T) {
 	}
 	// Starved: mean inter-arrival 100x the deadline → batches dispatch
 	// alone.
-	light, err := m.Simulate(rand.New(rand.NewSource(7)), 400, 10, time.Millisecond)
+	light, _, err := m.Simulate(rand.New(rand.NewSource(7)), 400, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,15 +96,12 @@ func TestSimulateFillTracksLoad(t *testing.T) {
 // TestSimulateDeadlineTradeoff: at moderate load, stretching the fill
 // deadline buys fill (throughput) and pays latency — the A6 knob.
 func TestSimulateDeadlineTradeoff(t *testing.T) {
-	m := testModel()
-	rngA := rand.New(rand.NewSource(11))
-	rngB := rand.New(rand.NewSource(11))
 	// Moderate load: a few arrivals per short deadline.
-	short, err := m.Simulate(rngA, 3000, 5000, 500*time.Microsecond)
+	short, _, err := testModel(500*time.Microsecond).Simulate(rand.New(rand.NewSource(11)), 3000, 5000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	long, err := m.Simulate(rngB, 3000, 5000, 16*time.Millisecond)
+	long, _, err := testModel(16*time.Millisecond).Simulate(rand.New(rand.NewSource(11)), 3000, 5000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,20 +117,20 @@ func TestSimulateDeadlineTradeoff(t *testing.T) {
 }
 
 func TestSimulateSanity(t *testing.T) {
-	m := testModel()
-	pt, err := m.Simulate(rand.New(rand.NewSource(3)), 1000, 20000, time.Millisecond)
+	m := testModel(time.Millisecond)
+	pt, _, err := m.Simulate(rand.New(rand.NewSource(3)), 1000, 20000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pt.Requests != 1000 || pt.Offered != 20000 || pt.FillDeadline != time.Millisecond {
+	if pt.Requests != 1000 || pt.Offered != 20000 {
 		t.Fatalf("point echo wrong: %+v", pt)
 	}
 	var batches, reqs int
-	for f := 1; f <= BatchSize; f++ {
+	for f := 1; f <= phiserve.BatchSize; f++ {
 		batches += pt.FillHist[f]
 		reqs += f * pt.FillHist[f]
 	}
-	if reqs != 1000 || batches < 1000/BatchSize {
+	if reqs != 1000 || batches < 1000/phiserve.BatchSize {
 		t.Fatalf("fill histogram inconsistent: %v", pt.FillHist)
 	}
 	if pt.FillHist[0] != 0 {

@@ -193,7 +193,7 @@ func (c Config) withDefaults() Config {
 			c.Backend = vpu.BackendDirect
 		}
 	}
-	c.Resilience = c.Resilience.withDefaults()
+	c.Resilience = c.Resilience.WithDefaults()
 	return c
 }
 

@@ -69,7 +69,8 @@ type Resilience struct {
 	Faults *faultsim.Config
 }
 
-func (r Resilience) withDefaults() Resilience {
+// WithDefaults returns r with every zero field set to its default.
+func (r Resilience) WithDefaults() Resilience {
 	if r.MaxRetries == 0 {
 		r.MaxRetries = 2
 	}

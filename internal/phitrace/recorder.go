@@ -346,7 +346,7 @@ func (r *Recorder) resolve(j *Journey, at time.Time, anomaly string) {
 		r.ensureBurnGauges(tenant)
 	}
 	if stormFields != nil {
-		r.triggerAt(at, "shed-storm", stormFields)
+		r.TriggerAt(at, "shed-storm", stormFields)
 	}
 	if fn := r.cfg.OnResolve; fn != nil {
 		fn(j)

@@ -245,14 +245,16 @@ func Server(conn net.Conn, eng engine.Engine, cfg *Config) (*Session, error) {
 		return nil, fmt.Errorf("tlssim: client Finished verification failed")
 	}
 	tr.add(clientFin)
+	// Cache the session before our Finished goes out: once the client
+	// reads it, it may resume on a new connection at once.
+	if cfg.Cache != nil {
+		cfg.Cache.Put(sessionID, master)
+	}
 	serverFin := finishedMAC(master, "server finished", tr.h)
 	if err := writeMessage(conn, msgFinished, serverFin); err != nil {
 		return nil, err
 	}
 
-	if cfg.Cache != nil {
-		cfg.Cache.Put(sessionID, master)
-	}
 	sess := newSession(conn, master, false)
 	sess.ticket = &Ticket{ID: sessionID, Master: master}
 	return sess, nil

@@ -62,23 +62,6 @@ const (
 	FaultPassStall = faultsim.PassStall
 )
 
-// BatchLoadModel is the deterministic virtual-time model of the
-// scheduler used by experiment A6 to sweep offered load against fill
-// deadline.
-type BatchLoadModel = phiserve.LoadModel
-
-// BatchLoadPoint is one operating point of a BatchLoadModel sweep.
-type BatchLoadPoint = phiserve.LoadPoint
-
-// BatchFaultModel extends BatchLoadModel with the resilience machinery —
-// per-lane fault probability, bounded retries, scalar fallback and the
-// circuit breaker — in deterministic virtual time; experiment A7 sweeps
-// the fault rate with it.
-type BatchFaultModel = phiserve.FaultModel
-
-// BatchFaultPoint is one operating point of a BatchFaultModel sweep.
-type BatchFaultPoint = phiserve.FaultPoint
-
 // Errors surfaced by the BatchServer.
 var (
 	// ErrServerCanceled marks requests abandoned by context cancellation.
