@@ -72,8 +72,8 @@ func measure(e engine.Engine, f func(engine.Engine)) float64 {
 
 // verifiedPassCosts meters one *verified* kernel pass (CRT batch plus the
 // Bellcore re-encryption check, the pass the resilient server always
-// runs) at every fill count, with ciphertexts drawn from rng. Padding
-// makes a pass lane-uniform, but measuring each fill keeps the serving
+// runs) at every fill count, with ciphertexts drawn from rng. A partial
+// pass charges a full one, but measuring each fill keeps the serving
 // simulations honest about it.
 func verifiedPassCosts(rng *rand.Rand, key *rsakit.PrivateKey) [phiserve.BatchSize + 1]float64 {
 	var costs [phiserve.BatchSize + 1]float64

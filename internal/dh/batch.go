@@ -25,48 +25,29 @@ import (
 // BatchSize is the number of lanes per batch call.
 const BatchSize = vbatch.BatchSize
 
-// padExponents pads a 1..BatchSize exponent slice the way vbatch.PadLanes
-// pads bases: dead lanes repeat the last live value, so the uniform
-// schedule length is set by a live exponent and dead-lane work is identical
-// to a live lane's.
-func padExponents(xs []bn.Nat) ([BatchSize]bn.Nat, int, error) {
-	var out [BatchSize]bn.Nat
-	if len(xs) == 0 || len(xs) > BatchSize {
-		return out, 0, fmt.Errorf("dh: %d exponents, want 1..%d", len(xs), BatchSize)
-	}
-	copy(out[:], xs)
-	last := xs[len(xs)-1]
-	for l := len(xs); l < BatchSize; l++ {
-		out[l] = last
-	}
-	return out, len(xs), nil
-}
-
 // FixedBaseBatchN computes g^x mod P for 1..BatchSize live exponents on the
-// backend be. Unused lanes are padded and discarded, so a partial batch
-// charges a full kernel pass. Exponents must be nonzero. The result is
-// lane-aligned with xs.
+// backend be. A partial batch charges a full kernel pass (see
+// vbatch.Kernels). Exponents must be nonzero. The result is lane-aligned
+// with xs.
 func FixedBaseBatchN(be vpu.Backend, g Group, xs []bn.Nat) ([]bn.Nat, error) {
 	for l, x := range xs {
 		if x.IsZero() {
 			return nil, fmt.Errorf("dh: batch exponent %d is zero", l)
 		}
 	}
-	exps, live, err := padExponents(xs)
-	if err != nil {
-		return nil, err
+	if err := vbatch.CheckFill(len(xs)); err != nil {
+		return nil, fmt.Errorf("dh: %w", err)
 	}
 	ctx, err := vbatch.NewKernels(g.P, be)
 	if err != nil {
 		return nil, fmt.Errorf("dh: batch context: %w", err)
 	}
-	var bases [BatchSize]bn.Nat
+	bases := make([]bn.Nat, len(xs))
 	gRed := g.G.Mod(g.P)
 	for l := range bases {
 		bases[l] = gRed
 	}
-	res := ctx.ModExpMulti(&bases, &exps)
-	return res[:live], nil
+	return ctx.ModExpMulti(bases, xs), nil
 }
 
 // SharedSecretBatchN computes peer[l]^x[l] mod P for 1..BatchSize live
@@ -85,9 +66,12 @@ func SharedSecretBatchN(be vpu.Backend, g Group, xs, peers []bn.Nat) ([]bn.Nat, 
 			return nil, nil, fmt.Errorf("dh: batch exponent %d is zero", l)
 		}
 	}
+	if err := vbatch.CheckFill(len(xs)); err != nil {
+		return nil, nil, fmt.Errorf("dh: %w", err)
+	}
 	laneErrs := make([]error, len(xs))
 	// Validate peers up front; invalid lanes are masked to the generator so
-	// the pass stays well-formed, and their results are discarded.
+	// the pass stays well-formed, and their results are withheld.
 	masked := make([]bn.Nat, len(peers))
 	gRed := g.G.Mod(g.P)
 	for l, p := range peers {
@@ -98,22 +82,14 @@ func SharedSecretBatchN(be vpu.Backend, g Group, xs, peers []bn.Nat) ([]bn.Nat, 
 		}
 		masked[l] = p
 	}
-	bases, live, err := vbatch.PadLanes(masked)
-	if err != nil {
-		return nil, nil, fmt.Errorf("dh: %w", err)
-	}
-	exps, _, err := padExponents(xs)
-	if err != nil {
-		return nil, nil, err
-	}
 	ctx, err := vbatch.NewKernels(g.P, be)
 	if err != nil {
 		return nil, nil, fmt.Errorf("dh: batch context: %w", err)
 	}
-	res := ctx.ModExpMulti(&bases, &exps)
-	out := make([]bn.Nat, live)
+	res := ctx.ModExpMulti(masked, xs)
+	out := make([]bn.Nat, len(xs))
 	pm1 := g.P.SubUint64(1)
-	for l := 0; l < live; l++ {
+	for l := range out {
 		if laneErrs[l] != nil {
 			continue // masked lane; leave the zero Nat
 		}

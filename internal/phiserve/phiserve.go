@@ -19,11 +19,12 @@
 // The scheduling policy is the classic batch-server trade: a request
 // that arrives into an empty per-workload buffer opens a batch and arms
 // a fill deadline; the batch dispatches when the sixteenth request
-// arrives or when the deadline fires, whichever is first. Partial
-// batches pad their unused lanes with a duplicated operand, so a partial
-// dispatch costs a full kernel pass — the deadline is literally the knob
-// trading latency (dispatch early, waste lanes) against throughput (wait
-// for fills, queue longer).
+// arrives or when the deadline fires, whichever is first. A partial
+// dispatch costs a full kernel pass in simulated cycles, because the card
+// runs whole 16-lane vectors (the direct backend's host work scales with
+// the live lanes, but it charges the full pass) — the deadline is
+// literally the knob trading latency (dispatch early, waste lanes)
+// against throughput (wait for fills, queue longer).
 //
 // Execution runs on a persistent phipool.Server: long-lived workers each
 // owning a private vector unit, a bounded batch queue whose fullness

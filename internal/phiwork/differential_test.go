@@ -2,6 +2,7 @@ package phiwork_test
 
 import (
 	"errors"
+	"fmt"
 	mrand "math/rand"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"phiopenssl/internal/dh"
 	"phiopenssl/internal/phiwork"
 	"phiopenssl/internal/rsakit"
+	"phiopenssl/internal/vbatch"
 	"phiopenssl/internal/vpu"
 )
 
@@ -364,6 +366,90 @@ func TestRSAPrivateFaultWithholds(t *testing.T) {
 	for _, le := range laneErrs {
 		if le != nil && !errors.Is(le, rsakit.ErrFaultDetected) {
 			t.Fatalf("lane error %v does not wrap ErrFaultDetected", le)
+		}
+	}
+}
+
+// TestBackendsAgreeAtPartialFill: for every kind at 1024 bits, a batch of
+// 1, 3 or 16 lanes must give the same outputs, the same per-lane errors
+// and the same Counts and Phases on the sim and the direct backend — the
+// direct backend computes only the live lanes, yet charges a full pass
+// exactly as the sim's padded 16-lane stream does. Lane 1 of dhe-var
+// carries a degenerate peer so the per-lane error path is compared too.
+func TestBackendsAgreeAtPartialFill(t *testing.T) {
+	key, group := diffKey1024, dh.MODP1024()
+	rng := mrand.New(mrand.NewSource(41))
+	eng := core.New()
+	below := func(n bn.Nat) bn.Nat {
+		v, err := bn.RandomRange(rng, bn.One(), n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	kinds := []struct {
+		w     phiwork.Workload
+		input func(l int) phiwork.Input
+	}{
+		{phiwork.NewRSAPrivate(key), func(int) phiwork.Input { return phiwork.Input{A: below(key.N)} }},
+		{phiwork.NewPSSSign(key), func(l int) phiwork.Input {
+			em, err := rsakit.EncodePSSSHA256(rng, []byte{byte(l)}, key.N.BitLen()-1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return phiwork.Input{A: bn.FromBytes(em)}
+		}},
+		{phiwork.NewRSAPublic(&key.PublicKey), func(int) phiwork.Input { return phiwork.Input{A: below(key.N)} }},
+		{phiwork.NewDHEFixed(group), func(int) phiwork.Input {
+			x, err := bn.Random(rng, 256, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return phiwork.Input{A: x}
+		}},
+		{phiwork.NewDHEVar(group), func(l int) phiwork.Input {
+			us, err := dh.GenerateKey(eng, rng, group)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if l == 1 {
+				return phiwork.Input{A: us.Private, B: bn.One()}
+			}
+			them, err := dh.GenerateKey(eng, rng, group)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return phiwork.Input{A: us.Private, B: them.Public}
+		}},
+	}
+	for _, k := range kinds {
+		ins := make([]phiwork.Input, vbatch.BatchSize)
+		for l := range ins {
+			ins[l] = k.input(l)
+		}
+		for _, fill := range []int{1, 3, vbatch.BatchSize} {
+			simOut, simErrs, simBd, err := k.w.ExecuteBatch(vpu.NewBackend(vpu.BackendSim), ins[:fill])
+			if err != nil {
+				t.Fatalf("%s fill %d sim: %v", k.w.Kind(), fill, err)
+			}
+			dirOut, dirErrs, dirBd, err := k.w.ExecuteBatch(vpu.NewBackend(vpu.BackendDirect), ins[:fill])
+			if err != nil {
+				t.Fatalf("%s fill %d direct: %v", k.w.Kind(), fill, err)
+			}
+			if len(simOut) != fill || len(dirOut) != fill {
+				t.Fatalf("%s fill %d: %d sim and %d direct outputs", k.w.Kind(), fill, len(simOut), len(dirOut))
+			}
+			for l := range simOut {
+				if fmt.Sprint(simErrs[l]) != fmt.Sprint(dirErrs[l]) {
+					t.Fatalf("%s fill %d lane %d: sim err %v, direct err %v", k.w.Kind(), fill, l, simErrs[l], dirErrs[l])
+				}
+				if !simOut[l].Equal(dirOut[l]) {
+					t.Fatalf("%s fill %d lane %d: outputs diverge", k.w.Kind(), fill, l)
+				}
+			}
+			if simBd.Counts != dirBd.Counts || simBd.Phases != dirBd.Phases {
+				t.Fatalf("%s fill %d: charges diverge:\n sim    %v\n direct %v", k.w.Kind(), fill, simBd.Counts, dirBd.Counts)
+			}
 		}
 	}
 }

@@ -2,6 +2,7 @@ package rsakit
 
 import (
 	"errors"
+	"fmt"
 	mrand "math/rand"
 	"sync"
 	"testing"
@@ -73,65 +74,104 @@ func TestPrivateOpBatchBackendDifferential(t *testing.T) {
 }
 
 // TestPrivateOpBatchVerifiedFaultsBothBackends: ErrFaultDetected must
-// demonstrably fire on BOTH backends, and neither may ever release a
-// corrupted plaintext. The injection rate is derived per backend from a
-// counting pass (the two backends expose vastly different numbers of
-// corruption points per pass).
+// demonstrably fire on BOTH backends, at full fill and at fill 3, and
+// neither may ever release a corrupted plaintext. The injection rate is
+// derived per backend from a counting pass (the two backends expose vastly
+// different numbers of corruption points per pass); the count does not
+// depend on the fill (TestCorruptionPointsIndependentOfFill), so one rate
+// serves both legs. At fill 3 most flips land on dead lanes and are
+// dropped, as their results would have been.
 func TestPrivateOpBatchVerifiedFaultsBothBackends(t *testing.T) {
 	key := testKey512
 	cs, want := encryptLanes(t, key, 501)
 	for _, kind := range []vpu.BackendKind{vpu.BackendSim, vpu.BackendDirect} {
 		t.Run(kind.String(), func(t *testing.T) {
-			// Count this backend's corruption points over one pass, then
-			// target ~3 expected flips per pass.
-			ctr := &countingCorruptor{}
-			be := vpu.NewBackend(kind)
-			be.AttachFaults(ctr)
-			if _, _, err := PrivateOpBatchVerifiedN(be, key, cs); err != nil {
-				t.Fatal(err)
+			// Target ~3 expected flips per full pass.
+			points := countCorruptionPoints(t, kind, key, cs)
+			rate := faultsim.PerInstrRate(0.2, uint64(points))
+			t.Logf("%d corruption points/pass, flip rate %.3g", points, rate)
+			for _, fill := range []int{BatchSize, 3} {
+				t.Run(fmt.Sprintf("fill=%d", fill), func(t *testing.T) {
+					faultTrials(t, kind, key, cs[:fill], want[:fill], rate)
+				})
 			}
-			rate := faultsim.PerInstrRate(0.2, uint64(ctr.n))
-			t.Logf("%d corruption points/pass, flip rate %.3g", ctr.n, rate)
-
-			faulted, clean := 0, 0
-			for trial := 0; trial < 20; trial++ {
-				be := vpu.NewBackend(kind)
-				be.AttachFaults(faultsim.New(faultsim.Config{
-					Seed:         int64(2000 + trial),
-					LaneFlipRate: rate,
-				}))
-				out, laneErrs, err := PrivateOpBatchVerifiedN(be, key, cs)
-				if err != nil {
-					t.Fatalf("trial %d: batch error %v", trial, err)
-				}
-				for l := range out {
-					if laneErrs[l] != nil {
-						if !errors.Is(laneErrs[l], ErrFaultDetected) {
-							t.Fatalf("trial %d lane %d: error %v does not wrap ErrFaultDetected",
-								trial, l, laneErrs[l])
-						}
-						if !out[l].IsZero() {
-							t.Fatalf("trial %d lane %d: fault-detected lane released a plaintext",
-								trial, l)
-						}
-						faulted++
-						continue
-					}
-					if !out[l].Equal(want[l]) {
-						t.Fatalf("trial %d lane %d: CORRUPTED PLAINTEXT ESCAPED VERIFICATION",
-							trial, l)
-					}
-					clean++
-				}
-			}
-			if faulted == 0 {
-				t.Fatalf("no ErrFaultDetected fired on the %s backend", kind)
-			}
-			if clean == 0 {
-				t.Fatal("no lane survived; rate too high for the test to distinguish")
-			}
-			t.Logf("lanes: %d clean, %d fault-detected", clean, faulted)
 		})
+	}
+}
+
+// faultTrials runs twenty seeded fault-injected verified passes over cs
+// and requires at least one detected fault, at least one clean lane, and
+// no corrupted plaintext escaping.
+func faultTrials(t *testing.T, kind vpu.BackendKind, key *PrivateKey, cs, want []bn.Nat, rate float64) {
+	t.Helper()
+	faulted, clean := 0, 0
+	for trial := 0; trial < 20; trial++ {
+		be := vpu.NewBackend(kind)
+		be.AttachFaults(faultsim.New(faultsim.Config{
+			Seed:         int64(2000 + trial),
+			LaneFlipRate: rate,
+		}))
+		out, laneErrs, err := PrivateOpBatchVerifiedN(be, key, cs)
+		if err != nil {
+			t.Fatalf("trial %d: batch error %v", trial, err)
+		}
+		for l := range out {
+			if laneErrs[l] != nil {
+				if !errors.Is(laneErrs[l], ErrFaultDetected) {
+					t.Fatalf("trial %d lane %d: error %v does not wrap ErrFaultDetected",
+						trial, l, laneErrs[l])
+				}
+				if !out[l].IsZero() {
+					t.Fatalf("trial %d lane %d: fault-detected lane released a plaintext",
+						trial, l)
+				}
+				faulted++
+				continue
+			}
+			if !out[l].Equal(want[l]) {
+				t.Fatalf("trial %d lane %d: CORRUPTED PLAINTEXT ESCAPED VERIFICATION",
+					trial, l)
+			}
+			clean++
+		}
+	}
+	if faulted == 0 {
+		t.Fatalf("no ErrFaultDetected fired on the %s backend at fill %d", kind, len(cs))
+	}
+	if clean == 0 {
+		t.Fatal("no lane survived; rate too high for the test to distinguish")
+	}
+	t.Logf("lanes: %d clean, %d fault-detected", clean, faulted)
+}
+
+// countCorruptionPoints runs one verified pass over cs on a fresh backend
+// of the given kind with a counting Corruptor attached.
+func countCorruptionPoints(t *testing.T, kind vpu.BackendKind, key *PrivateKey, cs []bn.Nat) int64 {
+	t.Helper()
+	ctr := &countingCorruptor{}
+	be := vpu.NewBackend(kind)
+	be.AttachFaults(ctr)
+	if _, _, err := PrivateOpBatchVerifiedN(be, key, cs); err != nil {
+		t.Fatal(err)
+	}
+	return ctr.n
+}
+
+// TestCorruptionPointsIndependentOfFill: the injector must see the same
+// corruption points for a 1-lane, a 3-lane and a 16-lane pass on both
+// backends — the direct backend hands it one full vector per limb per
+// event, dead lanes read as zero — so its RNG draws and the per-pass rate
+// derivations (faultsim.PerInstrRate) do not depend on the fill.
+func TestCorruptionPointsIndependentOfFill(t *testing.T) {
+	key := testKey512
+	cs, _ := encryptLanes(t, key, 503)
+	for _, kind := range []vpu.BackendKind{vpu.BackendSim, vpu.BackendDirect} {
+		full := countCorruptionPoints(t, kind, key, cs)
+		for _, fill := range []int{1, 3} {
+			if n := countCorruptionPoints(t, kind, key, cs[:fill]); n != full {
+				t.Fatalf("%s: %d corruption points at fill %d, %d at full fill", kind, n, fill, full)
+			}
+		}
 	}
 }
 
@@ -140,29 +180,54 @@ type countingCorruptor struct{ n int64 }
 
 func (c *countingCorruptor) CorruptVec(*vpu.Vec) { c.n++ }
 
-// BenchmarkPrivateOpBatch measures host wall time of the full 16-lane
-// RSA-2048 verified CRT batch on each backend — the tentpole's speedup
-// claim. Both backends charge identical simulated cycles (asserted by the
-// differential tests); the benchmark records what the direct path buys in
-// real time. Results are pinned in BENCH_backend.json.
+// benchFills are the live-lane counts the batch benchmarks sweep.
+var benchFills = []int{1, 4, BatchSize}
+
+// benchBatch times pass over the first fill inputs on each backend and
+// fill: host wall time per pass. Both backends charge identical simulated
+// cycles at every fill (asserted by the differential tests); the sim's
+// wall time stays flat across fills while the direct backend's scales
+// with the live lanes. Results are pinned in BENCH_backend.json.
+func benchBatch(b *testing.B, inputs []bn.Nat, pass func(be vpu.Backend, in []bn.Nat) error) {
+	for _, kind := range []vpu.BackendKind{vpu.BackendSim, vpu.BackendDirect} {
+		for _, fill := range benchFills {
+			b.Run(fmt.Sprintf("%s/fill=%d", kind, fill), func(b *testing.B) {
+				be := vpu.NewBackend(kind)
+				// Warm per-width calibration/context caches outside the timer.
+				if err := pass(be, inputs[:fill]); err != nil {
+					b.Fatal(err)
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					be.Reset()
+					if err := pass(be, inputs[:fill]); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(fill), "lanes/op")
+			})
+		}
+	}
+}
+
+// BenchmarkPrivateOpBatch measures the RSA-2048 verified CRT batch (both
+// exponentiations, recombination and the Bellcore check) at each fill.
 func BenchmarkPrivateOpBatch(b *testing.B) {
 	key := testKey2048()
 	cs, _ := encryptLanes(b, key, 502)
-	for _, kind := range []vpu.BackendKind{vpu.BackendSim, vpu.BackendDirect} {
-		b.Run(kind.String(), func(b *testing.B) {
-			be := vpu.NewBackend(kind)
-			// Warm per-width calibration/context caches outside the timer.
-			if _, _, err := PrivateOpBatchVerifiedN(be, key, cs); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				be.Reset()
-				if _, _, err := PrivateOpBatchVerifiedN(be, key, cs); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(BatchSize), "lanes/op")
-		})
-	}
+	benchBatch(b, cs, func(be vpu.Backend, in []bn.Nat) error {
+		_, _, err := PrivateOpBatchVerifiedN(be, key, in)
+		return err
+	})
+}
+
+// BenchmarkPublicOpBatch is the public-op twin: RSA-2048 m^65537 at each
+// fill.
+func BenchmarkPublicOpBatch(b *testing.B) {
+	key := testKey2048()
+	ms, _ := encryptLanes(b, key, 504)
+	benchBatch(b, ms, func(be vpu.Backend, in []bn.Nat) error {
+		_, err := PublicOpBatchN(be, &key.PublicKey, in)
+		return err
+	})
 }

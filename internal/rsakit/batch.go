@@ -21,9 +21,9 @@ const BatchSize = vbatch.BatchSize
 // PrivateOpBatchN computes c^D mod N with CRT for 1..BatchSize live
 // ciphertexts, issuing all kernel work on the backend be (a *vpu.Unit for
 // interpreted cycle-exact execution, or a *vpu.Direct for the calibrated
-// direct-arithmetic serving path). Unused lanes are padded with
-// a duplicate of the last live operand and discarded, so a partial batch
-// charges exactly the cycles of a full kernel pass — this is the entry
+// direct-arithmetic serving path). A partial batch charges exactly the
+// cycles of a full kernel pass, while the direct backend's host work
+// scales with the live lanes (see vbatch.Kernels) — this is the entry
 // point a streaming scheduler uses when its fill deadline fires before
 // sixteen requests accumulate. Every ciphertext must be in [0, N). The
 // result has len(cs) elements, lane-aligned with cs.
@@ -55,8 +55,7 @@ func privateOpBatchN(be vpu.Backend, key *PrivateKey, cs []bn.Nat, bd *PassBreak
 			return nil, fmt.Errorf("rsakit: batch ciphertext %d out of range", l)
 		}
 	}
-	lanes, live, err := vbatch.PadLanes(cs)
-	if err != nil {
+	if err := vbatch.CheckFill(len(cs)); err != nil {
 		return nil, fmt.Errorf("rsakit: %w", err)
 	}
 	ctxP, err := vbatch.NewKernels(key.P, be)
@@ -68,18 +67,19 @@ func privateOpBatchN(be vpu.Backend, key *PrivateKey, cs []bn.Nat, bd *PassBreak
 		return nil, fmt.Errorf("rsakit: batch Q context: %w", err)
 	}
 
-	var cp, cq [BatchSize]bn.Nat
-	for l, c := range lanes {
+	cp := make([]bn.Nat, len(cs))
+	cq := make([]bn.Nat, len(cs))
+	for l, c := range cs {
 		cp[l] = c.Mod(key.P)
 		cq[l] = c.Mod(key.Q)
 	}
 	start := stamp(bd)
-	m1 := ctxP.ModExpShared(&cp, key.Dp)
+	m1 := ctxP.ModExpShared(cp, key.Dp)
 	if bd != nil {
 		bd.ExpPWall = time.Since(start)
 		start = time.Now()
 	}
-	m2 := ctxQ.ModExpShared(&cq, key.Dq)
+	m2 := ctxQ.ModExpShared(cq, key.Dq)
 	if bd != nil {
 		bd.ExpQWall = time.Since(start)
 		start = time.Now()
@@ -89,8 +89,8 @@ func privateOpBatchN(be vpu.Backend, key *PrivateKey, cs []bn.Nat, bd *PassBreak
 	// PhaseCRT documents (and would surface) any vector work a future
 	// recombination strategy adds — today the slot measures zero.
 	prev := be.SetPhase(vbatch.PhaseCRT)
-	out := make([]bn.Nat, live)
-	for l := 0; l < live; l++ {
+	out := make([]bn.Nat, len(cs))
+	for l := range out {
 		h := key.Qinv.ModMul(m1[l].ModSub(m2[l], key.P), key.P)
 		out[l] = m2[l].Add(h.Mul(key.Q))
 	}
@@ -162,7 +162,7 @@ func privateOpBatchVerifiedN(be vpu.Backend, key *PrivateKey, cs []bn.Nat, bd *P
 		return nil, nil, fmt.Errorf("rsakit: batch N context: %w", err)
 	}
 	laneErrs := make([]error, len(out))
-	var ms [BatchSize]bn.Nat
+	ms := make([]bn.Nat, len(out))
 	for l, m := range out {
 		if m.Cmp(key.N) >= 0 {
 			// Out of range is already proof of a fault; leave the lane's
@@ -172,7 +172,7 @@ func privateOpBatchVerifiedN(be vpu.Backend, key *PrivateKey, cs []bn.Nat, bd *P
 		}
 		ms[l] = m
 	}
-	re := ctxN.ModExpShared(&ms, key.E)
+	re := ctxN.ModExpShared(ms, key.E)
 	for l := range out {
 		if laneErrs[l] == nil && !re[l].Equal(cs[l]) {
 			laneErrs[l] = fmt.Errorf("%w (lane %d re-encryption mismatch)", ErrFaultDetected, l)

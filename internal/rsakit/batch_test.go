@@ -161,13 +161,16 @@ func TestPrivateOpBatchNValidation(t *testing.T) {
 	}
 }
 
-// TestPartialBatchChargesNoMoreThanFull: padding lanes ride the same
-// lane-uniform kernel pass, so a 1-lane batch must charge no more cycles
-// than a full 16-lane batch.
+// TestPartialBatchChargesNoMoreThanFull: a partial batch costs one full
+// 16-lane pass on the card whatever its fill, so on both backends the
+// verified private pass and the public pass at 1, 7 and 15 live lanes must
+// charge exactly the counts, per-phase attribution and cycles of the full
+// batch — no less (the direct backend computes only the live lanes, but
+// must still charge every dead lane) and no more.
 func TestPartialBatchChargesNoMoreThanFull(t *testing.T) {
 	key := testKey512
 	rng := mrand.New(mrand.NewSource(84))
-	var cs [BatchSize]bn.Nat
+	cs := make([]bn.Nat, BatchSize)
 	for l := range cs {
 		c, err := bn.RandomRange(rng, bn.One(), key.N)
 		if err != nil {
@@ -175,19 +178,41 @@ func TestPartialBatchChargesNoMoreThanFull(t *testing.T) {
 		}
 		cs[l] = c
 	}
-	uFull := vpu.New()
-	if _, err := PrivateOpBatch(uFull, key, &cs); err != nil {
-		t.Fatal(err)
+	passes := []struct {
+		name string
+		run  func(be vpu.Backend, cs []bn.Nat) error
+	}{
+		{"verified-private", func(be vpu.Backend, cs []bn.Nat) error {
+			_, _, err := PrivateOpBatchVerifiedN(be, key, cs)
+			return err
+		}},
+		{"public", func(be vpu.Backend, cs []bn.Nat) error {
+			_, err := PublicOpBatchN(be, &key.PublicKey, cs)
+			return err
+		}},
 	}
-	full := knc.KNCVectorCosts.VectorCycles(uFull.Counts())
-	for _, live := range []int{1, 7, 15} {
-		u := vpu.New()
-		if _, err := PrivateOpBatchN(u, key, cs[:live]); err != nil {
-			t.Fatal(err)
-		}
-		partial := knc.KNCVectorCosts.VectorCycles(u.Counts())
-		if partial > full {
-			t.Fatalf("live=%d charged %.0f cycles > full batch %.0f", live, partial, full)
+	for _, kind := range []vpu.BackendKind{vpu.BackendSim, vpu.BackendDirect} {
+		for _, pass := range passes {
+			charge := func(live int) (vpu.Counts, [vpu.MaxPhases]vpu.Counts) {
+				be := vpu.NewBackend(kind)
+				if err := pass.run(be, cs[:live]); err != nil {
+					t.Fatal(err)
+				}
+				return be.Counts(), be.PhaseCounts()
+			}
+			full, fullPhases := charge(BatchSize)
+			fullCycles := knc.KNCVectorCosts.VectorCycles(full)
+			for _, live := range []int{1, 7, 15} {
+				counts, phases := charge(live)
+				if counts != full || phases != fullPhases {
+					t.Fatalf("%s %s live=%d: charged %v (phases %v), full batch %v (phases %v)",
+						kind, pass.name, live, counts, phases, full, fullPhases)
+				}
+				if cycles := knc.KNCVectorCosts.VectorCycles(counts); cycles != fullCycles {
+					t.Fatalf("%s %s live=%d: %.0f cycles != full batch %.0f",
+						kind, pass.name, live, cycles, fullCycles)
+				}
+			}
 		}
 	}
 }

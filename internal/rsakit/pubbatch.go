@@ -13,8 +13,8 @@ import (
 // verification and OAEP/PKCS1 encryption lanes. With e = 65537 the shared
 // exponent is 17 bits, so a full pass costs a small fraction of a private
 // op on the same modulus: this is the cheap lane class the serving tier
-// must never queue behind private-op batches. Unused lanes are padded and
-// discarded; every message must be in [0, N). The result is lane-aligned
+// must never queue behind private-op batches. A partial batch charges a
+// full pass; every message must be in [0, N). The result is lane-aligned
 // with ms. No Bellcore pass follows — public operations use no secret, so
 // a fault can only corrupt a value the caller was allowed to see.
 func PublicOpBatchN(be vpu.Backend, pub *PublicKey, ms []bn.Nat) ([]bn.Nat, error) {
@@ -23,14 +23,12 @@ func PublicOpBatchN(be vpu.Backend, pub *PublicKey, ms []bn.Nat) ([]bn.Nat, erro
 			return nil, fmt.Errorf("rsakit: batch message %d out of range", l)
 		}
 	}
-	lanes, live, err := vbatch.PadLanes(ms)
-	if err != nil {
+	if err := vbatch.CheckFill(len(ms)); err != nil {
 		return nil, fmt.Errorf("rsakit: %w", err)
 	}
 	ctx, err := vbatch.NewKernels(pub.N, be)
 	if err != nil {
 		return nil, fmt.Errorf("rsakit: batch public context: %w", err)
 	}
-	res := ctx.ModExpShared(&lanes, pub.E)
-	return res[:live], nil
+	return ctx.ModExpShared(ms, pub.E), nil
 }

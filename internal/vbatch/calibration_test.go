@@ -31,10 +31,10 @@ func TestDirectCalibrationMatchesSimExactly(t *testing.T) {
 
 	for _, op := range []struct {
 		name string
-		run  func(Kernels) [BatchSize]bn.Nat
+		run  func(Kernels) []bn.Nat
 	}{
-		{"Mul", func(k Kernels) [BatchSize]bn.Nat { return k.MontMul(&a, &b) }},
-		{"ModExp", func(k Kernels) [BatchSize]bn.Nat { return k.ModExpShared(&a, exp) }},
+		{"Mul", func(k Kernels) []bn.Nat { return k.MontMul(a[:], b[:]) }},
+		{"ModExp", func(k Kernels) []bn.Nat { return k.ModExpShared(a[:], exp) }},
 	} {
 		sim, err := NewKernels(m, vpu.New())
 		if err != nil {
@@ -101,8 +101,8 @@ func TestDirectCalibrationPortsAcrossModuli(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, b := randBatch(rng, m2), randBatch(rng, m2)
-	sim.MontMul(&a, &b)
-	direct.MontMul(&a, &b)
+	sim.MontMul(a[:], b[:])
+	direct.MontMul(a[:], b[:])
 	if sc, dc := sim.Backend().Counts(), direct.Backend().Counts(); sc != dc {
 		t.Fatalf("cached calibration does not port to a second modulus:\n sim    %v\n direct %v", sc, dc)
 	}

@@ -23,37 +23,57 @@ func bothKernels(t testing.TB, m bn.Nat) (sim, direct Kernels) {
 	return s, d
 }
 
-// diffCheck runs op on both backends and demands bit-identical lane
-// results, identical total instruction counts and identical per-phase
-// attribution — the full calibration contract, not just value agreement.
+// fills are the live-lane counts each differential runs at: one lane, two,
+// one short of full, and full.
+var fills = []int{1, 2, 15, BatchSize}
+
+// diffCheck runs op at every fill in fills; see diffCheckFill.
 func diffCheck(t *testing.T, name string, sim, direct Kernels,
-	op func(Kernels) [BatchSize]bn.Nat) {
+	op func(k Kernels, fill int) []bn.Nat) {
+	t.Helper()
+	for _, fill := range fills {
+		diffCheckFill(t, name, sim, direct, fill, op)
+	}
+}
+
+// diffCheckFill runs op with fill live lanes on both backends and demands
+// one result per live lane, bit-identical lane results, identical total
+// instruction counts and identical per-phase attribution — the full
+// calibration contract, not just value agreement. A partial fill must
+// charge what a full pass charges, so the counts are compared across
+// fills too.
+func diffCheckFill(t *testing.T, name string, sim, direct Kernels, fill int,
+	op func(k Kernels, fill int) []bn.Nat) {
 	t.Helper()
 	sim.Backend().Reset()
 	direct.Backend().Reset()
-	want := op(sim)
-	got := op(direct)
+	want := op(sim, fill)
+	got := op(direct, fill)
+	if len(want) != fill || len(got) != fill {
+		t.Fatalf("%s fill %d: %d sim and %d direct results", name, fill, len(want), len(got))
+	}
 	for l := range want {
 		if !got[l].Equal(want[l]) {
-			t.Fatalf("%s lane %d: direct %s != sim %s", name, l, got[l], want[l])
+			t.Fatalf("%s fill %d lane %d: direct %s != sim %s", name, fill, l, got[l], want[l])
 		}
 	}
 	sc, dc := sim.Backend().Counts(), direct.Backend().Counts()
 	if sc != dc {
-		t.Fatalf("%s counts diverge:\n sim    %v\n direct %v", name, sc, dc)
+		t.Fatalf("%s fill %d counts diverge:\n sim    %v\n direct %v", name, fill, sc, dc)
 	}
 	sp, dp := sim.Backend().PhaseCounts(), direct.Backend().PhaseCounts()
 	for p := range sp {
 		if sp[p] != dp[p] {
-			t.Fatalf("%s phase %s diverges:\n sim    %v\n direct %v",
-				name, PhaseName(vpu.Phase(p)), sp[p], dp[p])
+			t.Fatalf("%s fill %d phase %s diverges:\n sim    %v\n direct %v",
+				name, fill, PhaseName(vpu.Phase(p)), sp[p], dp[p])
 		}
 	}
 }
 
 // TestBackendDifferentialSizes drives random batches at the RSA-relevant
-// widths through both backends: MontMul, shared-exponent and per-lane
-// exponentiation must agree bit for bit in results, counts and phases.
+// widths through both backends at every fill: MontMul, shared-exponent
+// and per-lane exponentiation must agree bit for bit in results, counts
+// and phases.
 func TestBackendDifferentialSizes(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for _, bits := range []int{512, 1024, 2048} {
@@ -61,29 +81,31 @@ func TestBackendDifferentialSizes(t *testing.T) {
 		sim, direct := bothKernels(t, m)
 
 		a, b := randBatch(rng, m), randBatch(rng, m)
-		diffCheck(t, "MontMul", sim, direct, func(k Kernels) [BatchSize]bn.Nat {
-			return k.MontMul(&a, &b)
+		diffCheck(t, "MontMul", sim, direct, func(k Kernels, fill int) []bn.Nat {
+			return k.MontMul(a[:fill], b[:fill])
 		})
 
 		exp := randOdd(rng, bits/2)
-		diffCheck(t, "ModExpShared", sim, direct, func(k Kernels) [BatchSize]bn.Nat {
-			return k.ModExpShared(&a, exp)
+		diffCheck(t, "ModExpShared", sim, direct, func(k Kernels, fill int) []bn.Nat {
+			return k.ModExpShared(a[:fill], exp)
 		})
 
 		// Per-lane exponents of uneven lengths: the uniform window
-		// schedule must still replay identically (it runs to the longest).
+		// schedule must still replay identically (it runs to the longest
+		// live exponent).
 		var exps [BatchSize]bn.Nat
 		for l := range exps {
 			exps[l] = randOdd(rng, 64+l*7)
 		}
-		diffCheck(t, "ModExpMulti", sim, direct, func(k Kernels) [BatchSize]bn.Nat {
-			return k.ModExpMulti(&a, &exps)
+		diffCheck(t, "ModExpMulti", sim, direct, func(k Kernels, fill int) []bn.Nat {
+			return k.ModExpMulti(a[:fill], exps[:fill])
 		})
 	}
 }
 
-// TestBackendDifferentialEdgeCases pins the schedule branch points: zero
-// exponent, one-limb modulus, zero and maximal lane values.
+// TestBackendDifferentialEdgeCases pins the schedule branch points at
+// every fill: zero exponent, one-limb modulus, zero and maximal lane
+// values.
 func TestBackendDifferentialEdgeCases(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	m := randOdd(rng, 128)
@@ -96,27 +118,28 @@ func TestBackendDifferentialEdgeCases(t *testing.T) {
 	for l := 3; l < BatchSize; l++ {
 		vals[l] = randBelow(rng, m)
 	}
-	diffCheck(t, "MontMul(edges)", sim, direct, func(k Kernels) [BatchSize]bn.Nat {
-		return k.MontMul(&vals, &vals)
+	diffCheck(t, "MontMul(edges)", sim, direct, func(k Kernels, fill int) []bn.Nat {
+		return k.MontMul(vals[:fill], vals[:fill])
 	})
-	diffCheck(t, "ModExpShared(zero exp)", sim, direct, func(k Kernels) [BatchSize]bn.Nat {
-		return k.ModExpShared(&vals, bn.Zero())
+	diffCheck(t, "ModExpShared(zero exp)", sim, direct, func(k Kernels, fill int) []bn.Nat {
+		return k.ModExpShared(vals[:fill], bn.Zero())
 	})
 	var zeroExps [BatchSize]bn.Nat
-	diffCheck(t, "ModExpMulti(zero exps)", sim, direct, func(k Kernels) [BatchSize]bn.Nat {
-		return k.ModExpMulti(&vals, &zeroExps)
+	diffCheck(t, "ModExpMulti(zero exps)", sim, direct, func(k Kernels, fill int) []bn.Nat {
+		return k.ModExpMulti(vals[:fill], zeroExps[:fill])
 	})
 
 	sm, dm := bothKernels(t, bn.MustHex("10001"))
 	one := randBatch(rng, bn.MustHex("10001"))
-	diffCheck(t, "MontMul(k=1)", sm, dm, func(k Kernels) [BatchSize]bn.Nat {
-		return k.MontMul(&one, &one)
+	diffCheck(t, "MontMul(k=1)", sm, dm, func(k Kernels, fill int) []bn.Nat {
+		return k.MontMul(one[:fill], one[:fill])
 	})
 }
 
 // FuzzBackendDifferential explores the modulus/operand space (extending
-// internal/bn's fuzz-harness pattern): any odd modulus > 1 and any lane
-// values must produce bit-identical results and counts on both backends.
+// internal/bn's fuzz-harness pattern): any odd modulus > 1, any lane
+// values and any fill (derived from the seed) must produce bit-identical
+// results and counts on both backends.
 func FuzzBackendDifferential(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, []byte{0x12, 0x34}, []byte{3}, int64(1))
 	f.Add([]byte{0x01, 0x00, 0x01}, []byte{0xff}, []byte{0x10, 0x01}, int64(2))
@@ -130,17 +153,18 @@ func FuzzBackendDifferential(f *testing.F) {
 		}
 		sim, direct := bothKernels(t, m)
 		rng := rand.New(rand.NewSource(seed))
+		fill := 1 + int(uint64(seed)%BatchSize)
 		a := randBatch(rng, m)
 		b := randBatch(rng, m)
 		if len(seedOp) > 0 {
 			a[0] = bn.FromBytes(seedOp).Mod(m)
 		}
-		diffCheck(t, "MontMul", sim, direct, func(k Kernels) [BatchSize]bn.Nat {
-			return k.MontMul(&a, &b)
+		diffCheckFill(t, "MontMul", sim, direct, fill, func(k Kernels, fill int) []bn.Nat {
+			return k.MontMul(a[:fill], b[:fill])
 		})
 		exp := bn.FromBytes(eb)
-		diffCheck(t, "ModExpShared", sim, direct, func(k Kernels) [BatchSize]bn.Nat {
-			return k.ModExpShared(&a, exp)
+		diffCheckFill(t, "ModExpShared", sim, direct, fill, func(k Kernels, fill int) []bn.Nat {
+			return k.ModExpShared(a[:fill], exp)
 		})
 	})
 }

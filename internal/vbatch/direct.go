@@ -9,12 +9,13 @@ import (
 )
 
 // Direct backend: the batch kernels with the instruction interpreter
-// removed. Each lane's Montgomery arithmetic runs as plain uint32/uint64
-// limb code (the scalar CIOS of internal/bn, once per lane), and the
+// removed. Each live lane's Montgomery arithmetic runs as plain
+// uint32/uint64 limb code (the scalar CIOS of internal/bn, once per live
+// lane; the dead lanes of a partial batch are never computed), and the
 // vpu.Direct meter is charged per kernel *event* — one packed gather
 // transpose, one Montgomery multiply, one window-table probe — with the
 // exact per-class, per-phase instruction deltas the interpreted kernels
-// would have issued for that event.
+// would have issued for that event over all sixteen lanes.
 //
 // The charging is exact, not approximate, because every vbatch kernel's
 // instruction count is a pure function of the limb width k: the CIOS
@@ -103,6 +104,7 @@ type directCtx struct {
 	d       *vpu.Direct
 	cal     *calibration
 	z       []uint32 // montMul scratch, 2k limbs
+	live    int      // lanes the current kernel call computes, 1..BatchSize
 }
 
 var _ Kernels = (*directCtx)(nil)
@@ -142,17 +144,29 @@ func (c *directCtx) Modulus() bn.Nat { return c.modulus }
 // Backend implements Kernels.
 func (c *directCtx) Backend() vpu.Backend { return c.d }
 
-// dBatch is sixteen k-limb values, one slice per lane. Lanes may alias
-// (broadcast constants, table-selected entries): kernel events never
-// mutate their inputs, only freshly allocated outputs.
+// begin validates a kernel call's fill and sets the live lanes its events
+// compute.
+func (c *directCtx) begin(live int) {
+	mustFill(live)
+	c.live = live
+}
+
+// dBatch is sixteen k-limb values, one slice per lane; only the first
+// c.live lanes are computed (kernel outputs leave the dead lanes nil).
+// Lanes may alias (broadcast constants, table-selected entries): kernel
+// events never mutate their inputs, only freshly allocated outputs.
 type dBatch [BatchSize][]uint32
 
 // corrupt exposes the attached Corruptor at a kernel phase boundary: limb
 // j of all sixteen lanes is assembled into one vpu.Vec — exactly the
 // lane-transposed register the interpreted kernel holds at that point —
-// passed through the injector, and written back. Corruption opportunities
-// are per limb-vector per event here, not per instruction as on the sim,
-// so per-instruction fault rates translate differently (convert per-pass
+// passed through the injector, and the live lanes are written back. Dead
+// lanes read as zero and are never written back, so a flip that lands on
+// one is dropped, as the sim's padding-lane result is; the injector still
+// sees one full vector per limb per event, so corruption-point counts and
+// its RNG draws do not depend on the fill. Corruption opportunities are
+// per limb-vector per event here, not per instruction as on the sim, so
+// per-instruction fault rates translate differently (convert per-pass
 // rates with a counting Corruptor, as the fault tests do); detection via
 // the Bellcore check is identical.
 func (c *directCtx) corrupt(b *dBatch) {
@@ -162,29 +176,29 @@ func (c *directCtx) corrupt(b *dBatch) {
 	}
 	for j := 0; j < c.k; j++ {
 		var v vpu.Vec
-		for l := 0; l < BatchSize; l++ {
+		for l := 0; l < c.live; l++ {
 			v[l] = b[l][j]
 		}
 		fault.CorruptVec(&v)
-		for l := 0; l < BatchSize; l++ {
+		for l := 0; l < c.live; l++ {
 			b[l][j] = v[l]
 		}
 	}
 }
 
-// alloc carves sixteen k-limb lane slices out of one backing array.
+// alloc carves the live lanes' k-limb slices out of one backing array.
 func (c *directCtx) alloc() dBatch {
-	flat := make([]uint32, BatchSize*c.k)
+	flat := make([]uint32, c.live*c.k)
 	var out dBatch
-	for l := 0; l < BatchSize; l++ {
+	for l := 0; l < c.live; l++ {
 		out[l] = flat[l*c.k : (l+1)*c.k : (l+1)*c.k]
 	}
 	return out
 }
 
-// pack mirrors Ctx.Pack: transpose sixteen reduced values into lane
-// slices, charging one gather transpose.
-func (c *directCtx) pack(vals *[BatchSize]bn.Nat) dBatch {
+// pack mirrors Ctx.Pack: transpose the live reduced values into lane
+// slices, charging one full gather transpose.
+func (c *directCtx) pack(vals []bn.Nat) dBatch {
 	out := c.alloc()
 	for l, v := range vals {
 		if v.Cmp(c.modulus) >= 0 {
@@ -197,22 +211,23 @@ func (c *directCtx) pack(vals *[BatchSize]bn.Nat) dBatch {
 	return out
 }
 
-// unpack mirrors Ctx.Unpack: one scatter transpose, then lane values.
-func (c *directCtx) unpack(b dBatch) [BatchSize]bn.Nat {
+// unpack mirrors Ctx.Unpack: one scatter transpose, then the live lanes'
+// values.
+func (c *directCtx) unpack(b dBatch) []bn.Nat {
 	c.d.ChargeAt(PhasePack, c.cal.unpack)
 	c.corrupt(&b)
-	var out [BatchSize]bn.Nat
-	for l := 0; l < BatchSize; l++ {
+	out := make([]bn.Nat, c.live)
+	for l := range out {
 		out[l] = bn.FromLimbs(b[l])
 	}
 	return out
 }
 
-// mul is one Montgomery-multiply event: sixteen per-lane scalar CIOS
-// passes plus the calibrated charge of the vectorized multiply.
+// mul is one Montgomery-multiply event: one scalar CIOS pass per live
+// lane plus the calibrated charge of the full vectorized multiply.
 func (c *directCtx) mul(a, b dBatch) dBatch {
 	out := c.alloc()
-	for l := 0; l < BatchSize; l++ {
+	for l := 0; l < c.live; l++ {
 		c.montMul(out[l], a[l], b[l])
 	}
 	c.d.ChargePhases(c.cal.mul)
@@ -237,27 +252,21 @@ func (c *directCtx) montOne() dBatch          { return c.mul(splat(c.rr), splat(
 
 // MontMul implements Kernels: pack both operands, multiply, unpack — the
 // same event sequence as Ctx.MontMul.
-func (c *directCtx) MontMul(a, b *[BatchSize]bn.Nat) [BatchSize]bn.Nat {
+func (c *directCtx) MontMul(a, b []bn.Nat) []bn.Nat {
+	mustPair(a, b)
+	c.begin(len(a))
 	return c.unpack(c.mul(c.pack(a), c.pack(b)))
 }
 
 // ModExpShared implements Kernels, replaying Ctx.ModExpShared's event
 // schedule exactly: same table build, same squarings, same zero-digit
 // multiply skips (the shared exponent makes them lane-uniform).
-func (c *directCtx) ModExpShared(bases *[BatchSize]bn.Nat, exp bn.Nat) [BatchSize]bn.Nat {
+func (c *directCtx) ModExpShared(bases []bn.Nat, exp bn.Nat) []bn.Nat {
+	c.begin(len(bases))
 	if exp.IsZero() {
-		var out [BatchSize]bn.Nat
-		one := bn.One().Mod(c.modulus)
-		for l := range out {
-			out[l] = one
-		}
-		return out
+		return ones(len(bases), c.modulus)
 	}
-	var reduced [BatchSize]bn.Nat
-	for l, b := range bases {
-		reduced[l] = b.Mod(c.modulus)
-	}
-	xm := c.toMont(c.pack(&reduced))
+	xm := c.toMont(c.pack(reduce(bases, c.modulus)))
 
 	const w = 5
 	table := make([]dBatch, 1<<w)
@@ -283,27 +292,17 @@ func (c *directCtx) ModExpShared(bases *[BatchSize]bn.Nat, exp bn.Nat) [BatchSiz
 // ModExpMulti implements Kernels, replaying Ctx.ModExpMulti: the uniform
 // window schedule to the longest exponent, with the masked table scan's
 // probe/blend charges reproduced per entry (including the mask==0 skips,
-// which depend only on the exponent digits).
-func (c *directCtx) ModExpMulti(bases, exps *[BatchSize]bn.Nat) [BatchSize]bn.Nat {
-	maxBits := 0
-	for _, e := range exps {
-		if e.BitLen() > maxBits {
-			maxBits = e.BitLen()
-		}
-	}
+// which depend only on the exponent digits). The sim's dead lanes repeat
+// the last live exponent, so an entry matches some lane there exactly
+// when it matches a live lane here.
+func (c *directCtx) ModExpMulti(bases, exps []bn.Nat) []bn.Nat {
+	mustPair(bases, exps)
+	c.begin(len(bases))
+	maxBits := maxBitLen(exps)
 	if maxBits == 0 {
-		var out [BatchSize]bn.Nat
-		one := bn.One().Mod(c.modulus)
-		for l := range out {
-			out[l] = one
-		}
-		return out
+		return ones(len(bases), c.modulus)
 	}
-	var reduced [BatchSize]bn.Nat
-	for l, b := range bases {
-		reduced[l] = b.Mod(c.modulus)
-	}
-	xm := c.toMont(c.pack(&reduced))
+	xm := c.toMont(c.pack(reduce(bases, c.modulus)))
 
 	const w = 4
 	table := make([]dBatch, 1<<w)
@@ -318,7 +317,7 @@ func (c *directCtx) ModExpMulti(bases, exps *[BatchSize]bn.Nat) [BatchSize]bn.Na
 		for e := range table {
 			c.d.ChargeAt(PhaseWindow, winProbeCost)
 			var mask vpu.Mask
-			for l, dg := range digits {
+			for l, dg := range digits[:c.live] {
 				if dg == uint32(e) {
 					mask |= 1 << l
 				}
@@ -327,7 +326,7 @@ func (c *directCtx) ModExpMulti(bases, exps *[BatchSize]bn.Nat) [BatchSize]bn.Na
 				continue
 			}
 			c.d.ChargeAt(PhaseWindow, vpu.Counts{vpu.ClassALU: uint64(c.k)})
-			for l := 0; l < BatchSize; l++ {
+			for l := 0; l < c.live; l++ {
 				if mask>>l&1 == 1 {
 					out[l] = table[e][l]
 				}

@@ -5,26 +5,18 @@ import (
 	"phiopenssl/internal/vpu"
 )
 
-// ModExpShared computes base[l]^exp mod N for all sixteen lanes at once,
-// with one exponent shared across lanes — the RSA-server case, where every
-// private operation under the same key raises to the same (CRT) exponent.
-// Fixed 5-bit windows; because the exponent is shared, the window schedule
-// is identical in every lane and the operation sequence is inherently
-// exponent-uniform across the batch.
-func (c *Ctx) ModExpShared(bases *[BatchSize]bn.Nat, exp bn.Nat) [BatchSize]bn.Nat {
+// ModExpShared computes base[l]^exp mod N for the 1..BatchSize live lanes
+// in one sixteen-lane pass, with one exponent shared across lanes — the
+// RSA-server case, where every private operation under the same key
+// raises to the same (CRT) exponent. Fixed 5-bit windows; because the
+// exponent is shared, the window schedule is identical in every lane and
+// the operation sequence is inherently exponent-uniform across the batch.
+func (c *Ctx) ModExpShared(bases []bn.Nat, exp bn.Nat) []bn.Nat {
+	mustFill(len(bases))
 	if exp.IsZero() {
-		var out [BatchSize]bn.Nat
-		one := bn.One().Mod(c.modulus)
-		for l := range out {
-			out[l] = one
-		}
-		return out
+		return ones(len(bases), c.modulus)
 	}
-	var reduced [BatchSize]bn.Nat
-	for l, b := range bases {
-		reduced[l] = b.Mod(c.modulus)
-	}
-	xm := c.ToMont(c.Pack(&reduced))
+	xm := c.ToMont(c.Pack(padLanes(reduce(bases, c.modulus))))
 
 	const w = 5
 	table := make([]Batch, 1<<w)
@@ -48,7 +40,8 @@ func (c *Ctx) ModExpShared(bases *[BatchSize]bn.Nat, exp bn.Nat) [BatchSize]bn.N
 			acc = c.Mul(acc, table[d])
 		}
 	}
-	return c.Unpack(c.FromMont(acc))
+	out := c.Unpack(c.FromMont(acc))
+	return out[:len(bases)]
 }
 
 // ModExpMulti computes base[l]^exp[l] mod N with an independent exponent
@@ -57,28 +50,18 @@ func (c *Ctx) ModExpShared(bases *[BatchSize]bn.Nat, exp bn.Nat) [BatchSize]bn.N
 // table (every lane multiplies every window, including zero digits, so the
 // schedule is uniform — the batch analogue of the constant-time fixed
 // window). Needed when lanes carry different keys' blinding factors or
-// mixed workloads.
-func (c *Ctx) ModExpMulti(bases, exps *[BatchSize]bn.Nat) [BatchSize]bn.Nat {
+// mixed workloads. Dead lanes repeat the last live exponent, so the
+// schedule length and the scan's matched entries are the live lanes'.
+func (c *Ctx) ModExpMulti(bases, exps []bn.Nat) []bn.Nat {
+	mustPair(bases, exps)
+	mustFill(len(bases))
 	u := c.unit
-	maxBits := 0
-	for _, e := range exps {
-		if e.BitLen() > maxBits {
-			maxBits = e.BitLen()
-		}
-	}
+	maxBits := maxBitLen(exps)
 	if maxBits == 0 {
-		var out [BatchSize]bn.Nat
-		one := bn.One().Mod(c.modulus)
-		for l := range out {
-			out[l] = one
-		}
-		return out
+		return ones(len(bases), c.modulus)
 	}
-	var reduced [BatchSize]bn.Nat
-	for l, b := range bases {
-		reduced[l] = b.Mod(c.modulus)
-	}
-	xm := c.ToMont(c.Pack(&reduced))
+	xm := c.ToMont(c.Pack(padLanes(reduce(bases, c.modulus))))
+	padded := padLanes(exps)
 
 	const w = 4
 	table := make([]Batch, 1<<w)
@@ -110,7 +93,7 @@ func (c *Ctx) ModExpMulti(bases, exps *[BatchSize]bn.Nat) [BatchSize]bn.Nat {
 		prev := u.SetPhase(PhaseWindow)
 		defer u.SetPhase(prev)
 		var d vpu.Vec
-		for l, e := range exps {
+		for l, e := range padded {
 			d[l] = e.Bits(wi*w, w)
 		}
 		return u.Load(d[:], 0) // the digit vector arrives from memory
@@ -124,5 +107,37 @@ func (c *Ctx) ModExpMulti(bases, exps *[BatchSize]bn.Nat) [BatchSize]bn.Nat {
 		}
 		acc = c.Mul(acc, selectEntries(digitsAt(wi)))
 	}
-	return c.Unpack(c.FromMont(acc))
+	out := c.Unpack(c.FromMont(acc))
+	return out[:len(bases)]
+}
+
+// reduce returns each live operand reduced mod m.
+func reduce(vals []bn.Nat, m bn.Nat) []bn.Nat {
+	out := make([]bn.Nat, len(vals))
+	for l, v := range vals {
+		out[l] = v.Mod(m)
+	}
+	return out
+}
+
+// ones returns n copies of 1 mod m: any base to the zero exponent.
+func ones(n int, m bn.Nat) []bn.Nat {
+	out := make([]bn.Nat, n)
+	one := bn.One().Mod(m)
+	for l := range out {
+		out[l] = one
+	}
+	return out
+}
+
+// maxBitLen returns the longest exponent's bit length, which sets the
+// per-lane window schedule's length.
+func maxBitLen(exps []bn.Nat) int {
+	maxBits := 0
+	for _, e := range exps {
+		if e.BitLen() > maxBits {
+			maxBits = e.BitLen()
+		}
+	}
+	return maxBits
 }

@@ -8,16 +8,22 @@ import (
 )
 
 // Kernels is the backend-independent surface of the batch kernel family:
-// sixteen lane-parallel Montgomery operations under one modulus. The two
-// implementations compute bit-identical results and charge bit-identical
-// instruction counts:
+// up to sixteen lane-parallel Montgomery operations under one modulus.
+// Every method takes the 1..BatchSize live operands as slices (a fill
+// outside that range panics; see CheckFill) and returns one result per
+// live lane. A partial batch charges exactly one full 16-lane pass on
+// both backends — the card pays for the whole vector whatever its fill.
+// The two implementations compute bit-identical results and charge
+// bit-identical instruction counts:
 //
 //   - *Ctx (on a *vpu.Unit): the interpreted kernels above, executing and
-//     metering every vector instruction.
-//   - directCtx (on a *vpu.Direct): per-lane uint64 limb arithmetic
-//     replaying the same CIOS/fixed-window schedule event by event,
-//     charging each event's cost from a per-limb-count calibration
-//     measured once against the sim (see direct.go).
+//     metering every vector instruction. It pads the dead lanes with the
+//     last live operand and runs the full 16-lane stream.
+//   - directCtx (on a *vpu.Direct): per-lane uint32 limb arithmetic on the
+//     live lanes only, replaying the same CIOS/fixed-window schedule event
+//     by event and charging each event's full-pass cost from a
+//     per-limb-count calibration measured once against the sim (see
+//     direct.go). Its host time scales with the fill.
 type Kernels interface {
 	// K returns the limb width of batch values.
 	K() int
@@ -26,15 +32,16 @@ type Kernels interface {
 	// Backend returns the meter the kernels charge.
 	Backend() vpu.Backend
 	// MontMul returns the lane-wise Montgomery product a*b*R^-1 mod N of
-	// packed reduced operands (each < N), via one pack/multiply/unpack
-	// round trip.
-	MontMul(a, b *[BatchSize]bn.Nat) [BatchSize]bn.Nat
+	// reduced operands (each < N, len(a) == len(b)), via one
+	// pack/multiply/unpack round trip.
+	MontMul(a, b []bn.Nat) []bn.Nat
 	// ModExpShared computes base[l]^exp mod N with one exponent shared
 	// across lanes (the RSA-server schedule).
-	ModExpShared(bases *[BatchSize]bn.Nat, exp bn.Nat) [BatchSize]bn.Nat
+	ModExpShared(bases []bn.Nat, exp bn.Nat) []bn.Nat
 	// ModExpMulti computes base[l]^exp[l] mod N with an independent
-	// exponent per lane (uniform masked-scan window schedule).
-	ModExpMulti(bases, exps *[BatchSize]bn.Nat) [BatchSize]bn.Nat
+	// exponent per lane (uniform masked-scan window schedule;
+	// len(bases) == len(exps)).
+	ModExpMulti(bases, exps []bn.Nat) []bn.Nat
 }
 
 // NewKernels prepares batch kernels for the odd modulus m > 1 on the given
@@ -55,8 +62,17 @@ func NewKernels(m bn.Nat, be vpu.Backend) (Kernels, error) {
 func (c *Ctx) Backend() vpu.Backend { return c.unit }
 
 // MontMul implements Kernels for the interpreted context.
-func (c *Ctx) MontMul(a, b *[BatchSize]bn.Nat) [BatchSize]bn.Nat {
-	return c.Unpack(c.Mul(c.Pack(a), c.Pack(b)))
+func (c *Ctx) MontMul(a, b []bn.Nat) []bn.Nat {
+	mustPair(a, b)
+	out := c.Unpack(c.Mul(c.Pack(padLanes(a)), c.Pack(padLanes(b))))
+	return out[:len(a)]
+}
+
+// mustPair panics unless two operand slices have the same length.
+func mustPair(a, b []bn.Nat) {
+	if len(a) != len(b) {
+		panic(fmt.Sprintf("vbatch: %d vs %d operands", len(a), len(b)))
+	}
 }
 
 var _ Kernels = (*Ctx)(nil)

@@ -176,23 +176,39 @@ func (c *Ctx) Unpack(b Batch) [BatchSize]bn.Nat {
 	return out
 }
 
-// PadLanes expands 1..BatchSize live operands into a full per-lane array
-// by duplicating the last live operand into the unused lanes. This is how
-// a partial batch rides the full-width kernels: the padding lanes execute
-// the same schedule (the kernels are lane-uniform, so they cost nothing
-// extra) and their results are discarded by the caller. The returned count
-// is the number of live lanes.
-func PadLanes(vals []bn.Nat) ([BatchSize]bn.Nat, int, error) {
-	var out [BatchSize]bn.Nat
-	if len(vals) == 0 || len(vals) > BatchSize {
-		return out, 0, fmt.Errorf("vbatch: %d operands, want 1..%d", len(vals), BatchSize)
+// CheckFill reports whether n live operands fit one kernel pass
+// (1..BatchSize). The Kernels methods panic on a fill this rejects, so
+// batch entry points call it first and return its error instead.
+func CheckFill(n int) error {
+	if n < 1 || n > BatchSize {
+		return fmt.Errorf("vbatch: %d operands, want 1..%d", n, BatchSize)
 	}
+	return nil
+}
+
+// mustFill panics unless n is a valid fill.
+func mustFill(n int) {
+	if err := CheckFill(n); err != nil {
+		panic(err)
+	}
+}
+
+// padLanes expands 1..BatchSize live operands into a full per-lane array
+// by duplicating the last live operand into the dead lanes. This is how a
+// partial batch rides the interpreted 16-lane instruction stream: the
+// dead lanes execute the same lane-uniform schedule, so the simulated
+// cycles equal a full pass, and their results are dropped. The duplicate
+// (rather than zero) keeps ModExpMulti's schedule length and table-scan
+// matches those of the live lanes.
+func padLanes(vals []bn.Nat) *[BatchSize]bn.Nat {
+	mustFill(len(vals))
+	var out [BatchSize]bn.Nat
 	copy(out[:], vals)
 	last := vals[len(vals)-1]
 	for l := len(vals); l < BatchSize; l++ {
 		out[l] = last
 	}
-	return out, len(vals), nil
+	return &out
 }
 
 // Splat returns the batch holding the same value x in every lane.

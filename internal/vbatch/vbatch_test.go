@@ -175,7 +175,7 @@ func TestModExpSharedMatchesReference(t *testing.T) {
 		}
 		bases := randBatch(rng, m)
 		exp := randBelow(rng, m)
-		got := ctx.ModExpShared(&bases, exp)
+		got := ctx.ModExpShared(bases[:], exp)
 		for l := 0; l < BatchSize; l++ {
 			want := bases[l].ModExp(exp, m)
 			if !got[l].Equal(want) {
@@ -191,13 +191,13 @@ func TestModExpSharedEdgeCases(t *testing.T) {
 	ctx, _ := NewCtx(m, vpu.New())
 	bases := randBatch(rng, m)
 	// exp = 0 -> all ones.
-	for l, v := range ctx.ModExpShared(&bases, bn.Zero()) {
+	for l, v := range ctx.ModExpShared(bases[:], bn.Zero()) {
 		if !v.IsOne() {
 			t.Fatalf("lane %d: x^0 = %s", l, v)
 		}
 	}
 	// exp = 1 -> identity.
-	for l, v := range ctx.ModExpShared(&bases, bn.One()) {
+	for l, v := range ctx.ModExpShared(bases[:], bn.One()) {
 		if !v.Equal(bases[l]) {
 			t.Fatalf("lane %d: x^1 = %s, want %s", l, v, bases[l])
 		}
@@ -207,7 +207,7 @@ func TestModExpSharedEdgeCases(t *testing.T) {
 	for l := range big {
 		big[l] = bases[l].Add(m.MulUint32(3))
 	}
-	got := ctx.ModExpShared(&big, bn.FromUint64(7))
+	got := ctx.ModExpShared(big[:], bn.FromUint64(7))
 	for l := range got {
 		want := big[l].ModExp(bn.FromUint64(7), m)
 		if !got[l].Equal(want) {
@@ -264,7 +264,7 @@ func TestModExpMultiMatchesReference(t *testing.T) {
 		for l := range exps {
 			exps[l] = randBelow(rng, m)
 		}
-		got := ctx.ModExpMulti(&bases, &exps)
+		got := ctx.ModExpMulti(bases[:], exps[:])
 		for l := 0; l < BatchSize; l++ {
 			want := bases[l].ModExp(exps[l], m)
 			if !got[l].Equal(want) {
@@ -289,7 +289,7 @@ func TestModExpMultiMixedLengths(t *testing.T) {
 	for l := 4; l < BatchSize; l++ {
 		exps[l] = randBelow(rng, bn.One().Shl(uint(8*l)))
 	}
-	got := ctx.ModExpMulti(&bases, &exps)
+	got := ctx.ModExpMulti(bases[:], exps[:])
 	for l := 0; l < BatchSize; l++ {
 		want := bases[l].ModExp(exps[l], m)
 		if !got[l].Equal(want) {
@@ -304,7 +304,7 @@ func TestModExpMultiAllZero(t *testing.T) {
 	ctx, _ := NewCtx(m, vpu.New())
 	bases := randBatch(rng, m)
 	var exps [BatchSize]bn.Nat
-	for l, v := range ctx.ModExpMulti(&bases, &exps) {
+	for l, v := range ctx.ModExpMulti(bases[:], exps[:]) {
 		if !v.IsOne() {
 			t.Fatalf("lane %d: x^0 = %s", l, v)
 		}
