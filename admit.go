@@ -34,8 +34,9 @@ type AdmissionTenant = phiadmit.Tenant
 // state and per-tenant admitted/shed counts.
 type AdmissionStats = phiadmit.Stats
 
-// SubmitOpts carries admission metadata (tenant id, SLO deadline) into
-// BatchServer.SubmitWith and Fleet.SubmitWith.
+// SubmitOpts carries admission metadata (tenant id, SLO deadline, and a
+// journey begun upstream) into BatchServer.SubmitWork and
+// Fleet.SubmitWork; the zero value submits with none.
 type SubmitOpts = phiserve.SubmitOpts
 
 // RetryBudget is the server-wide token bucket bounding how much extra

@@ -73,11 +73,18 @@ func main() {
 	}
 	// The journey recorder threads through every layer below: the door
 	// stamps the trace id, the fleet adds route hops, the scheduler seals
-	// and passes, and the recorder tail-samples the resolved record.
+	// and passes, and the recorder tail-samples the resolved record. Each
+	// kept journey is its request's span in the trace, so a traced run
+	// always carries a recorder, keeping every request unless -journeys
+	// sets the sampling.
 	var rec *phiopenssl.JourneyRecorder
-	if *journeys {
+	if *journeys || tel.Tracer != nil {
+		keep := 1
+		if *journeys {
+			keep = *sample
+		}
 		rec = phiopenssl.NewJourneyRecorder(phiopenssl.JourneyConfig{
-			SampleN:   *sample,
+			SampleN:   keep,
 			Telemetry: tel,
 		})
 		tel.Journeys = rec
@@ -120,15 +127,12 @@ func main() {
 		Journeys:     rec,
 	}
 	// One card serves through a BatchServer directly; more go through the
-	// sharded fleet front end. Both expose the same Submit/Close shape.
-	type service interface {
-		Submit(ctx context.Context, key *phiopenssl.PrivateKey, c phiopenssl.Nat) (<-chan phiopenssl.BatchResult, error)
-		Close()
-	}
+	// sharded fleet front end. Both are an AdmissionBackend: the same
+	// SubmitWork shape, which the door fronts too.
 	var (
 		srv *phiopenssl.BatchServer
 		flt *phiopenssl.Fleet
-		svc service
+		svc phiopenssl.AdmissionBackend
 	)
 	if *cards > 1 {
 		var err error
@@ -175,11 +179,7 @@ func main() {
 			}
 			tenants = append(tenants, phiopenssl.AdmissionTenant{ID: id, Weight: w})
 		}
-		var backend phiopenssl.AdmissionBackend = srv
-		if flt != nil {
-			backend = flt
-		}
-		door = phiopenssl.NewAdmissionController(backend, phiopenssl.AdmissionConfig{
+		door = phiopenssl.NewAdmissionController(svc, phiopenssl.AdmissionConfig{
 			SLO:       *slo,
 			Tenants:   tenants,
 			Telemetry: tel,
@@ -201,18 +201,19 @@ func main() {
 	nextTenant := 0
 	submit := func(key *phiopenssl.PrivateKey) {
 		m, c := encrypt(key, eng)
+		w, in := phiopenssl.RSAPrivateWorkload(key), phiopenssl.WorkloadInput{A: c}
 		var resp <-chan phiopenssl.BatchResult
 		var err error
 		if door != nil {
 			tn := tenants[nextTenant%len(tenants)].ID
 			nextTenant++
-			resp, err = door.Submit(context.Background(), tn, key, c)
+			resp, err = door.SubmitWork(context.Background(), tn, w, in)
 			if errors.Is(err, phiopenssl.ErrShedOverload) || errors.Is(err, phiopenssl.ErrShedTenant) {
 				shed++
 				return
 			}
 		} else {
-			resp, err = svc.Submit(context.Background(), key, c)
+			resp, err = svc.SubmitWork(context.Background(), w, in, phiopenssl.SubmitOpts{})
 		}
 		if err != nil {
 			log.Fatal(err)
@@ -229,7 +230,8 @@ func main() {
 		}
 	}
 	// A trailing trickle that cannot fill a batch: the fill deadline
-	// dispatches it as a padded partial pass.
+	// dispatches it as a partial pass, which still charges a full pass of
+	// simulated cycles.
 	for i := 0; i < 5; i++ {
 		submit(keyA)
 	}
@@ -254,7 +256,11 @@ func main() {
 		}(r)
 	}
 	wg.Wait()
-	svc.Close()
+	if flt != nil {
+		flt.Close()
+	} else {
+		srv.Close()
+	}
 	if bad > 0 {
 		log.Fatalf("%d requests came back wrong", bad)
 	}
@@ -285,7 +291,7 @@ func main() {
 			}
 		}
 	}
-	if rec != nil {
+	if *journeys {
 		jc := rec.Counts()
 		fmt.Printf("  journeys: resolved=%d kept-anomalous=%d kept-sampled=%d discarded=%d (1-in-%d sampling)\n",
 			jc.Resolved, jc.KeptAnomalous, jc.KeptSampled, jc.Discarded, *sample)

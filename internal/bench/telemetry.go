@@ -10,13 +10,14 @@ import (
 	"phiopenssl/internal/bn"
 	"phiopenssl/internal/phiserve"
 	"phiopenssl/internal/phitrace"
+	"phiopenssl/internal/phiwork"
 	"phiopenssl/internal/telemetry"
 )
 
 // TelemetryOverheadResult reports the host wall-time cost of full
-// telemetry (metrics registry + trace recorder) on the streaming batch
-// server, measured against the same workload with the default
-// metrics-only private registry and no tracer.
+// telemetry (metrics registry, trace recorder and journey recorder) on the
+// streaming batch server, measured against the same workload with the
+// default metrics-only private registry, no tracer and no journeys.
 type TelemetryOverheadResult struct {
 	// Ops is the number of requests per run; Trials the number of
 	// interleaved base/enabled run pairs.
@@ -35,11 +36,12 @@ func (r TelemetryOverheadResult) String() string {
 }
 
 // TelemetryOverhead measures the wall-time cost of enabling full
-// telemetry — request trace spans, per-pass slices, phase cycle counters,
-// and since this release per-request journeys with tail sampling — on the
-// batch server. Both arms serve the identical seeded RSA-512 workload;
-// the arms alternate and the best time of each wins, so a background
-// scheduling hiccup cannot masquerade as telemetry cost.
+// telemetry — per-pass slices, phase cycle counters, and per-request
+// journeys with tail sampling, each kept journey written to the trace as
+// its request span — on the batch server. Both arms serve the identical
+// seeded RSA-512 workload; the arms alternate and the best time of each
+// wins, so a background scheduling hiccup cannot masquerade as telemetry
+// cost.
 //
 // This is deliberately not a registered experiment: its output is host
 // wall time, which is nondeterministic, and the experiment tables are
@@ -52,6 +54,7 @@ func TelemetryOverhead(ops, trials int, seed int64) (TelemetryOverheadResult, er
 		trials = 3
 	}
 	key := keyFor(512)
+	work := phiwork.RSAPrivateFor(key)
 	rng := rand.New(rand.NewSource(seed))
 	cs := make([]bn.Nat, ops)
 	for i := range cs {
@@ -78,7 +81,7 @@ func TelemetryOverhead(ops, trials int, seed int64) (TelemetryOverheadResult, er
 		start := time.Now()
 		var wg sync.WaitGroup
 		for _, c := range cs {
-			resp, err := srv.Submit(context.Background(), key, c)
+			resp, err := srv.SubmitWork(context.Background(), work, phiwork.Input{A: c}, phiserve.SubmitOpts{})
 			if err != nil {
 				srv.Close()
 				return 0, err

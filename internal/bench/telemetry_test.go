@@ -3,11 +3,11 @@ package bench
 import "testing"
 
 // TestTelemetryOverhead holds the telemetry budget: enabling the full
-// observability surface (trace spans, pass slices, phase counters) must
-// cost under 2% of the server's wall time. Wall clocks on shared CI
-// machines are noisy even with best-of-trials filtering, so the check
-// retries: any attempt inside budget passes, and only a persistent
-// overshoot fails.
+// observability surface (journeys and their trace spans, pass slices,
+// phase counters) must cost under 2% of the server's wall time. Wall
+// clocks on shared CI machines are noisy even with best-of-trials
+// filtering, so the check retries: any attempt inside budget passes, and
+// only a persistent overshoot fails.
 func TestTelemetryOverhead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock benchmark")

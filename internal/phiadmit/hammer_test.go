@@ -15,6 +15,7 @@ import (
 	"phiopenssl/internal/faultsim"
 	"phiopenssl/internal/phifleet"
 	"phiopenssl/internal/phiserve"
+	"phiopenssl/internal/phiwork"
 	"phiopenssl/internal/rsakit"
 )
 
@@ -91,7 +92,10 @@ func TestOverloadHammer(t *testing.T) {
 	})
 
 	tenants := []string{"gold", "gold", "silver", "bronze"}
-	const submitters = 12
+	// Closed-loop submitters: enough that full batches queue and the door's
+	// estimate crosses the SLO budget. Partial passes on the direct backend
+	// cost only their live lanes, so a dozen no longer overload the fleet.
+	const submitters = 96
 	var accepted, resolved, wrong, shed atomic.Int64
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -107,7 +111,7 @@ func TestOverloadHammer(t *testing.T) {
 				default:
 				}
 				k := (g*31 + i) % nk
-				ch, err := ctrl.Submit(context.Background(), tn, keys[k], cs[k])
+				ch, err := ctrl.SubmitWork(context.Background(), tn, phiwork.RSAPrivateFor(keys[k]), phiwork.Input{A: cs[k]})
 				if err != nil {
 					switch {
 					case errors.Is(err, ErrShedOverload), errors.Is(err, ErrShedTenant):

@@ -16,12 +16,13 @@ import (
 	"phiopenssl/internal/phifleet"
 	"phiopenssl/internal/phiserve"
 	"phiopenssl/internal/phitrace"
+	"phiopenssl/internal/phiwork"
 	"phiopenssl/internal/rsakit"
 )
 
 // TestObserveHammer is the `make observe` CI gate: the overload hammer
 // with the journey recorder wired through every layer, run under -race.
-// Every Submit call must leave exactly one coherent journey: exactly one
+// Every SubmitWork call must leave exactly one coherent journey: exactly one
 // terminal event, monotone event timestamps, hop count within the fleet's
 // steal budget, and the terminal outcome agreeing with what the submitter
 // observed. Tail sampling must keep 100% of anomalous journeys and the
@@ -108,7 +109,9 @@ func TestObserveHammer(t *testing.T) {
 	})
 
 	tenants := []string{"gold", "gold", "silver", "bronze"}
-	const submitters = 12
+	// As in TestOverloadHammer: enough closed-loop submitters that the
+	// load is a real overload, now that partial passes are cheap.
+	const submitters = 96
 	var submits, accepted, completedOK, resolved, wrong, shed atomic.Int64
 
 	// Paced warmup at light load first: normal completions exercise the
@@ -116,7 +119,7 @@ func TestObserveHammer(t *testing.T) {
 	for i := 0; i < 192; i++ {
 		k := i % nk
 		submits.Add(1)
-		res, err := ctrl.Do(context.Background(), tenants[i%len(tenants)], keys[k], cs[k])
+		res, err := ctrl.DoWork(context.Background(), tenants[i%len(tenants)], phiwork.RSAPrivateFor(keys[k]), phiwork.Input{A: cs[k]})
 		if err != nil {
 			t.Fatalf("warmup submit %d: %v", i, err)
 		}
@@ -145,7 +148,7 @@ func TestObserveHammer(t *testing.T) {
 				}
 				k := (g*31 + i) % nk
 				submits.Add(1)
-				ch, err := ctrl.Submit(context.Background(), tn, keys[k], cs[k])
+				ch, err := ctrl.SubmitWork(context.Background(), tn, phiwork.RSAPrivateFor(keys[k]), phiwork.Input{A: cs[k]})
 				if err != nil {
 					switch {
 					case errors.Is(err, ErrShedOverload), errors.Is(err, ErrShedTenant):
@@ -197,7 +200,7 @@ func TestObserveHammer(t *testing.T) {
 		t.Fatalf("accepted %d, resolved %d: exactly-once violated", accepted.Load(), resolved.Load())
 	}
 
-	// Journey coherence: one journey per Submit call, each with exactly
+	// Journey coherence: one journey per SubmitWork call, each with exactly
 	// one terminal event, monotone timestamps, and hops within budget.
 	journeyMu.Lock()
 	captured := append([]*phitrace.Journey(nil), journeys...)

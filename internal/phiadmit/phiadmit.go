@@ -8,7 +8,7 @@
 // mechanisms, all fed by the telemetry the serving tier already exports:
 //
 //   - Deadline attachment: every admitted request carries an absolute SLO
-//     deadline (tenant-specific) into phiserve.SubmitWith, so a lane that
+//     deadline (tenant-specific) in its phiserve.SubmitOpts, so a lane that
 //     expires while queued is dropped at the next checkpoint instead of
 //     burning a kernel pass on an answer nobody is waiting for.
 //   - Door shedding: when the backend's sojourn estimate (queue depth ×
@@ -36,15 +36,13 @@ import (
 	"sync"
 	"time"
 
-	"phiopenssl/internal/bn"
 	"phiopenssl/internal/phiserve"
 	"phiopenssl/internal/phitrace"
 	"phiopenssl/internal/phiwork"
-	"phiopenssl/internal/rsakit"
 	"phiopenssl/internal/telemetry"
 )
 
-// Errors returned by Controller.Submit.
+// Errors returned by Controller.SubmitWork.
 var (
 	// ErrShedOverload rejects a request whose SLO cannot be met: the
 	// backend's delay estimate already exceeds the whole budget.
@@ -67,7 +65,7 @@ type Backend interface {
 
 // Tenant is one traffic class.
 type Tenant struct {
-	// ID is the tenant identifier callers pass to Submit.
+	// ID is the tenant identifier callers pass to SubmitWork.
 	ID string
 	// Weight is the tenant's share of Capacity during a brownout, relative
 	// to the sum of all weights. <= 0 defaults to 1.
@@ -117,7 +115,7 @@ type Config struct {
 	// gets a private registry (Stats still works).
 	Telemetry *telemetry.Telemetry
 	// Journeys, when non-nil, makes the door the journey's starting point:
-	// every Submit begins a journey (tenant, SLO, deadline attached), sheds
+	// every SubmitWork begins a journey (tenant, SLO, deadline attached), sheds
 	// resolve it immediately with the shed outcome, and admissions carry it
 	// into the backend. The recorder's SLO burn rate also feeds the
 	// brownout loop (see BurnEnter), and brownout enter/exit transitions
@@ -217,7 +215,7 @@ func (t *tenantState) refill(now time.Time) {
 }
 
 // Controller is the admission front end. One controller guards one
-// backend; Submit is safe for concurrent use.
+// backend; SubmitWork is safe for concurrent use.
 type Controller struct {
 	cfg     Config
 	backend Backend
@@ -348,16 +346,6 @@ func (a *Controller) tenant(id string) *tenantState {
 		return t
 	}
 	return a.fallback
-}
-
-// Submit admits or sheds one private-key operation for the named tenant —
-// the compat spelling of SubmitWork over the key's canonical rsa-priv
-// workload.
-func (a *Controller) Submit(ctx context.Context, tenant string, key *rsakit.PrivateKey, c bn.Nat) (<-chan phiserve.Result, error) {
-	if key == nil {
-		return nil, errors.New("phiadmit: nil key")
-	}
-	return a.SubmitWork(ctx, tenant, phiwork.RSAPrivateFor(key), phiwork.Input{A: c})
 }
 
 // SubmitWork admits or sheds one request of any workload kind for the
@@ -494,20 +482,6 @@ func (a *Controller) noteBrownout(transition string, est time.Duration, burn flo
 		"est_ms": float64(est) / float64(time.Millisecond),
 		"burn":   burn,
 	})
-}
-
-// Do is the synchronous convenience wrapper: Submit then wait.
-func (a *Controller) Do(ctx context.Context, tenant string, key *rsakit.PrivateKey, c bn.Nat) (phiserve.Result, error) {
-	ch, err := a.Submit(ctx, tenant, key, c)
-	if err != nil {
-		return phiserve.Result{}, err
-	}
-	select {
-	case res := <-ch:
-		return res, nil
-	case <-ctx.Done():
-		return phiserve.Result{}, ctx.Err()
-	}
 }
 
 // DoWork is the synchronous convenience wrapper over SubmitWork.

@@ -260,7 +260,7 @@ func TestControllerOverRealServer(t *testing.T) {
 	s.Start(context.Background())
 	defer s.Close()
 	a := New(s, Config{SLO: 5 * time.Second})
-	res, err := a.Do(context.Background(), "acct", key, bn.One())
+	res, err := a.DoWork(context.Background(), "acct", phiwork.RSAPrivateFor(key), phiwork.Input{A: bn.One()})
 	if err != nil || res.Err != nil {
 		t.Fatalf("admit+serve: %v / %v", err, res.Err)
 	}

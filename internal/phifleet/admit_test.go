@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"phiopenssl/internal/phiserve"
+	"phiopenssl/internal/phiwork"
 )
 
 // TestFleetRejectsDeadOnArrival: the fleet door fast-fails canceled
@@ -26,11 +27,11 @@ func TestFleetRejectsDeadOnArrival(t *testing.T) {
 
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := f.Submit(canceled, keys[0], cs[0]); !errors.Is(err, context.Canceled) {
+	if _, err := f.SubmitWork(canceled, phiwork.RSAPrivateFor(keys[0]), phiwork.Input{A: cs[0]}, phiserve.SubmitOpts{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled ctx: %v, want context.Canceled", err)
 	}
 
-	_, err = f.SubmitWith(context.Background(), keys[0], cs[0],
+	_, err = f.SubmitWork(context.Background(), phiwork.RSAPrivateFor(keys[0]), phiwork.Input{A: cs[0]},
 		phiserve.SubmitOpts{Deadline: time.Now().Add(-time.Second)})
 	if !errors.Is(err, phiserve.ErrDeadlineExceeded) {
 		t.Fatalf("past deadline: %v, want ErrDeadlineExceeded", err)

@@ -66,7 +66,7 @@ func TestFleetRoutesAndServes(t *testing.T) {
 	const n = 256
 	resps := make([]<-chan phiserve.Result, n)
 	for i := 0; i < n; i++ {
-		ch, err := f.Submit(context.Background(), keys[i%len(keys)], cs[i%len(keys)])
+		ch, err := f.SubmitWork(context.Background(), phiwork.RSAPrivateFor(keys[i%len(keys)]), phiwork.Input{A: cs[i%len(keys)]}, phiserve.SubmitOpts{})
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
@@ -147,7 +147,7 @@ func TestFaultRetryStealsResolveExactlyOnce(t *testing.T) {
 	const n = 256
 	resps := make([]<-chan phiserve.Result, n)
 	for i := 0; i < n; i++ {
-		ch, err := f.Submit(context.Background(), keys[i%len(keys)], cs[i%len(keys)])
+		ch, err := f.SubmitWork(context.Background(), phiwork.RSAPrivateFor(keys[i%len(keys)]), phiwork.Input{A: cs[i%len(keys)]}, phiserve.SubmitOpts{})
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
@@ -233,7 +233,7 @@ func TestBreakerFailoverRoutesAroundSickCard(t *testing.T) {
 	f.Start(context.Background())
 	const n = 160
 	for i := 0; i < n; i++ {
-		res, err := f.Do(context.Background(), key, c)
+		res, err := f.DoWork(context.Background(), phiwork.RSAPrivateFor(key), phiwork.Input{A: c})
 		if err != nil {
 			t.Fatalf("do %d: %v", i, err)
 		}
@@ -306,7 +306,7 @@ func TestConcurrentSubmitCloseFailover(t *testing.T) {
 				default:
 				}
 				k := (g + i) % len(keys)
-				ch, err := f.Submit(context.Background(), keys[k], cs[k])
+				ch, err := f.SubmitWork(context.Background(), phiwork.RSAPrivateFor(keys[k]), phiwork.Input{A: cs[k]}, phiserve.SubmitOpts{})
 				if err != nil {
 					if errors.Is(err, phiserve.ErrClosed) {
 						return
@@ -349,12 +349,12 @@ func TestSubmitLifecycleErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Submit(context.Background(), keys[0], cs[0]); !errors.Is(err, phiserve.ErrNotStarted) {
+	if _, err := f.SubmitWork(context.Background(), phiwork.RSAPrivateFor(keys[0]), phiwork.Input{A: cs[0]}, phiserve.SubmitOpts{}); !errors.Is(err, phiserve.ErrNotStarted) {
 		t.Fatalf("submit before start: %v", err)
 	}
 	f.Start(context.Background())
 	f.Close()
-	if _, err := f.Submit(context.Background(), keys[0], cs[0]); !errors.Is(err, phiserve.ErrClosed) {
+	if _, err := f.SubmitWork(context.Background(), phiwork.RSAPrivateFor(keys[0]), phiwork.Input{A: cs[0]}, phiserve.SubmitOpts{}); !errors.Is(err, phiserve.ErrClosed) {
 		t.Fatalf("submit after close: %v", err)
 	}
 	f.Close() // idempotent
@@ -377,7 +377,7 @@ func TestHotKeySpreadsOverReplicas(t *testing.T) {
 	const n = 24 * phiserve.BatchSize // a burst far beyond one batch per deadline
 	resps := make([]<-chan phiserve.Result, n)
 	for i := 0; i < n; i++ {
-		ch, err := f.Submit(context.Background(), keys[0], cs[0])
+		ch, err := f.SubmitWork(context.Background(), phiwork.RSAPrivateFor(keys[0]), phiwork.Input{A: cs[0]}, phiserve.SubmitOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}

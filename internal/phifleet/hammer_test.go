@@ -11,6 +11,7 @@ import (
 
 	"phiopenssl/internal/faultsim"
 	"phiopenssl/internal/phiserve"
+	"phiopenssl/internal/phiwork"
 )
 
 // TestFleetHammer is the `make fleet` CI gate: a race-enabled multi-card
@@ -68,7 +69,7 @@ func TestFleetHammer(t *testing.T) {
 				default:
 				}
 				k := (g*31 + i) % len(keys)
-				ch, err := f.Submit(context.Background(), keys[k], cs[k])
+				ch, err := f.SubmitWork(context.Background(), phiwork.RSAPrivateFor(keys[k]), phiwork.Input{A: cs[k]}, phiserve.SubmitOpts{})
 				if err != nil {
 					if errors.Is(err, phiserve.ErrClosed) {
 						return

@@ -2,8 +2,7 @@
 // coprocessor cards. The PhiOpenSSL paper's deployment premise is a host
 // driving multiple Xeon Phi cards; phifleet is that tier: N independent
 // phiserve.Servers — each with its own worker pool, circuit breaker,
-// resilience policy and fault schedule — behind one Submit-compatible
-// front end.
+// resilience policy and fault schedule — behind one SubmitWork front end.
 //
 // Routing is consistent hashing of the key over a vnode ring, so a key's
 // open batch accumulates on one card and fills. Three mechanisms keep the
@@ -17,7 +16,7 @@
 //     fault-retried lanes to the least-loaded healthy sibling through the
 //     phiserve redispatch hook, so no card runs a 3-lane pass while
 //     another has work queued 13 deep.
-//   - Breaker failover: while a card's breaker is open, Submit routes its
+//   - Breaker failover: while a card's breaker is open, SubmitWork routes its
 //     keys to the next healthy card in hash order, and the sick card's
 //     own scheduler offers breaker-bypassed requests to siblings; only
 //     with every card degraded does traffic fall to the scalar path.
@@ -35,18 +34,12 @@ import (
 	"sync/atomic"
 	"time"
 
-	"phiopenssl/internal/bn"
 	"phiopenssl/internal/faultsim"
 	"phiopenssl/internal/phiserve"
 	"phiopenssl/internal/phitrace"
 	"phiopenssl/internal/phiwork"
-	"phiopenssl/internal/rsakit"
 	"phiopenssl/internal/telemetry"
 )
-
-// trackStride separates the cards' trace-track ranges on the shared
-// tracer: card i's scheduler is track i*trackStride, its workers follow.
-const trackStride = 1 << 20
 
 // cardSeedOffset separates per-card fault/jitter seed streams from the
 // per-worker streams each card derives internally.
@@ -56,8 +49,8 @@ const cardSeedOffset = 0x70686966 // "phif"
 type Config struct {
 	// Cards is the number of card backends. Defaults to 2.
 	Cards int
-	// Card is the per-card server configuration template. Labels,
-	// TrackBase, Telemetry and Redispatch are owned by the fleet and
+	// Card is the per-card server configuration template. Card, Labels,
+	// Telemetry, Journeys and Redispatch are owned by the fleet and
 	// overwritten; fault and jitter seeds are re-derived per card so
 	// sibling cards are independent fault domains.
 	Card phiserve.Config
@@ -113,10 +106,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Fleet is the multi-card front end. It is Submit-compatible with
-// *phiserve.Server: Submit/Do/Start/Close/Stats have the same shapes, so
-// callers (the batchserver example, the facade) switch between one card
-// and a fleet without restructuring.
+// Fleet is the multi-card front end. It mirrors *phiserve.Server:
+// SubmitWork/DoWork/Start/Close/Stats have the same shapes, so callers
+// (the batchserver example, the facade) switch between one card and a
+// fleet without restructuring.
 type Fleet struct {
 	cfg   Config
 	cards []*phiserve.Server
@@ -137,7 +130,8 @@ type Fleet struct {
 	delayRouted  *telemetry.Counter
 }
 
-// New validates cfg and builds a stopped fleet; call Start before Submit.
+// New validates cfg and builds a stopped fleet; call Start before
+// SubmitWork.
 func New(cfg Config) (*Fleet, error) {
 	cfg = cfg.withDefaults()
 	tel := cfg.Telemetry
@@ -208,7 +202,6 @@ func New(cfg Config) (*Fleet, error) {
 		cc.Card = i
 		cc.Labels = append(append([]string(nil), cfg.Card.Labels...),
 			"card", strconv.Itoa(i))
-		cc.TrackBase = int64(i) * trackStride
 		cc.Resilience.Seed = cc.Resilience.Seed + cardSeedOffset + int64(i)
 		if cfg.RetryBudget != nil {
 			cc.Resilience.Budget = cfg.RetryBudget
@@ -324,21 +317,6 @@ func (f *Fleet) Start(ctx context.Context) {
 	}
 }
 
-// Submit routes one private-key operation to a card and returns its
-// result channel — the compat spelling of SubmitWork over the key's
-// canonical rsa-priv workload.
-func (f *Fleet) Submit(ctx context.Context, key *rsakit.PrivateKey, c bn.Nat) (<-chan phiserve.Result, error) {
-	return f.SubmitWith(ctx, key, c, phiserve.SubmitOpts{})
-}
-
-// SubmitWith is Submit with admission metadata.
-func (f *Fleet) SubmitWith(ctx context.Context, key *rsakit.PrivateKey, c bn.Nat, opts phiserve.SubmitOpts) (<-chan phiserve.Result, error) {
-	if key == nil {
-		return nil, fmt.Errorf("phifleet: nil key")
-	}
-	return f.SubmitWork(ctx, phiwork.RSAPrivateFor(key), phiwork.Input{A: c}, opts)
-}
-
 // SubmitWork routes one operation of any workload kind to a card and
 // returns its result channel. The workload's home card (hash order over
 // its RouteBytes) serves it unless the workload is hot — then it
@@ -439,7 +417,7 @@ func (f *Fleet) SubmitWork(ctx context.Context, w phiwork.Workload, in phiwork.I
 		if !deadline.IsZero() {
 			slo = deadline.Sub(now)
 		}
-		journey = f.cfg.Journeys.BeginWork(opts.Tenant, f.cards[pick].WorkTag(w),
+		journey = f.cfg.Journeys.BeginWork(opts.Tenant, w.Tag(),
 			string(w.Kind()), deadline, slo)
 		ownJourney = true
 		opts.Journey = journey
@@ -477,20 +455,6 @@ func (f *Fleet) EstimatedDelay() time.Duration {
 		}
 	}
 	return best
-}
-
-// Do is the synchronous convenience wrapper: Submit then wait.
-func (f *Fleet) Do(ctx context.Context, key *rsakit.PrivateKey, c bn.Nat) (phiserve.Result, error) {
-	ch, err := f.Submit(ctx, key, c)
-	if err != nil {
-		return phiserve.Result{}, err
-	}
-	select {
-	case res := <-ch:
-		return res, nil
-	case <-ctx.Done():
-		return phiserve.Result{}, ctx.Err()
-	}
 }
 
 // DoWork is the synchronous convenience wrapper over SubmitWork.

@@ -8,6 +8,7 @@ import (
 
 	"phiopenssl/internal/bn"
 	"phiopenssl/internal/faultsim"
+	"phiopenssl/internal/phiwork"
 )
 
 // TestSubmitRejectsDeadOnArrival: a canceled context or an already-passed
@@ -23,22 +24,22 @@ func TestSubmitRejectsDeadOnArrival(t *testing.T) {
 
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := s.Submit(canceled, testKey, bn.One()); !errors.Is(err, context.Canceled) {
+	if _, err := s.SubmitWork(canceled, testWork, phiwork.Input{A: bn.One()}, SubmitOpts{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled ctx: %v, want context.Canceled", err)
 	}
 
 	past, cancel2 := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel2()
-	if _, err := s.Submit(past, testKey, bn.One()); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := s.SubmitWork(past, testWork, phiwork.Input{A: bn.One()}, SubmitOpts{}); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("expired ctx: %v, want context.DeadlineExceeded", err)
 	}
-	if _, err := s.Do(past, testKey, bn.One()); err == nil {
+	if _, err := s.DoWork(past, testWork, phiwork.Input{A: bn.One()}); err == nil {
 		t.Fatal("Do with expired ctx succeeded")
 	}
 
 	// An explicit SLO deadline in the past, on a live context: the typed
 	// sentinel, counted as an expired lane.
-	_, err = s.SubmitWith(context.Background(), testKey, bn.One(),
+	_, err = s.SubmitWork(context.Background(), testWork, phiwork.Input{A: bn.One()},
 		SubmitOpts{Deadline: time.Now().Add(-time.Second)})
 	if !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("past deadline: %v, want ErrDeadlineExceeded", err)
@@ -69,7 +70,7 @@ func TestCanceledLanesDroppedAtSeal(t *testing.T) {
 	const n = 3
 	chs := make([]<-chan Result, n)
 	for i := range chs {
-		ch, err := s.Submit(ctx, testKey, bn.One())
+		ch, err := s.SubmitWork(ctx, testWork, phiwork.Input{A: bn.One()}, SubmitOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +124,7 @@ func TestOverflowCapSheds(t *testing.T) {
 		t.Helper()
 		out := make([]<-chan Result, n)
 		for i := range out {
-			ch, err := s.Submit(context.Background(), testKey, bn.One())
+			ch, err := s.SubmitWork(context.Background(), testWork, phiwork.Input{A: bn.One()}, SubmitOpts{})
 			if err != nil {
 				t.Fatalf("submit: %v", err)
 			}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"phiopenssl/internal/faultsim"
+	"phiopenssl/internal/phiwork"
 )
 
 // TestBreakerSingleProbeUnderConcurrency: when the cooldown elapses and
@@ -100,7 +101,7 @@ func TestHalfOpenProbeConcurrentSubmits(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := g; i < n; i += 8 {
-				ch, err := s.Submit(context.Background(), testKey, cs[i%nc])
+				ch, err := s.SubmitWork(context.Background(), testWork, phiwork.Input{A: cs[i%nc]}, SubmitOpts{})
 				if err != nil {
 					t.Errorf("submit %d: %v", i, err)
 					return
@@ -134,7 +135,7 @@ func TestHalfOpenProbeConcurrentSubmits(t *testing.T) {
 	extra := 0
 	deadline := time.Now().Add(10 * time.Second)
 	for s.Stats().BreakerState != "closed" && time.Now().Before(deadline) {
-		ch, err := s.Submit(context.Background(), testKey, cs[extra%nc])
+		ch, err := s.SubmitWork(context.Background(), testWork, phiwork.Input{A: cs[extra%nc]}, SubmitOpts{})
 		if err != nil {
 			t.Fatalf("recovery submit: %v", err)
 		}

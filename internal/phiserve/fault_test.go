@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"phiopenssl/internal/faultsim"
+	"phiopenssl/internal/phiwork"
 	"phiopenssl/internal/rsakit"
 	"phiopenssl/internal/vpu"
 )
@@ -74,7 +75,7 @@ func TestInjectedBitFlipsNeverEscape(t *testing.T) {
 	s.Start(context.Background())
 	resps := make([]<-chan Result, n)
 	for i := 0; i < n; i++ {
-		ch, err := s.Submit(context.Background(), testKey, cs[i%nc])
+		ch, err := s.SubmitWork(context.Background(), testWork, phiwork.Input{A: cs[i%nc]}, SubmitOpts{})
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
@@ -129,7 +130,7 @@ func TestKernelFailScriptRetriesThenFallsBack(t *testing.T) {
 	s.Start(context.Background())
 	resps := make([]<-chan Result, BatchSize)
 	for i := range resps {
-		ch, err := s.Submit(context.Background(), testKey, cs[i])
+		ch, err := s.SubmitWork(context.Background(), testWork, phiwork.Input{A: cs[i]}, SubmitOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,7 +198,7 @@ func TestBreakerTripsAndRecoversEndToEnd(t *testing.T) {
 		t.Helper()
 		resps := make([]<-chan Result, 0, hi-lo)
 		for i := lo; i < hi; i++ {
-			ch, err := s.Submit(context.Background(), testKey, cs[i%nc])
+			ch, err := s.SubmitWork(context.Background(), testWork, phiwork.Input{A: cs[i%nc]}, SubmitOpts{})
 			if err != nil {
 				t.Fatalf("submit %d: %v", i, err)
 			}
@@ -288,7 +289,7 @@ func TestStallRespawnsWorkerAndResolvesExactlyOnce(t *testing.T) {
 	s.Start(context.Background())
 	resps := make([]<-chan Result, BatchSize)
 	for i := range resps {
-		ch, err := s.Submit(context.Background(), testKey, cs[i])
+		ch, err := s.SubmitWork(context.Background(), testWork, phiwork.Input{A: cs[i]}, SubmitOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -368,7 +369,7 @@ func TestFaultHammer(t *testing.T) {
 	}
 	results := make(chan outcome, n)
 	for i := 0; i < n; i++ {
-		ch, err := s.Submit(context.Background(), testKey, cs[i%nc])
+		ch, err := s.SubmitWork(context.Background(), testWork, phiwork.Input{A: cs[i%nc]}, SubmitOpts{})
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}

@@ -44,7 +44,7 @@ func TestDeadlineFiresWhileDispatchQueueSaturated(t *testing.T) {
 		t.Helper()
 		out := make([]<-chan Result, n)
 		for i := range out {
-			ch, err := s.Submit(context.Background(), key, bn.One())
+			ch, err := s.SubmitWork(context.Background(), phiwork.RSAPrivateFor(key), phiwork.Input{A: bn.One()}, SubmitOpts{})
 			if err != nil {
 				t.Fatalf("submit: %v", err)
 			}
@@ -90,28 +90,5 @@ func TestDeadlineFiresWhileDispatchQueueSaturated(t *testing.T) {
 	st := s.Stats()
 	if st.Completed != int64(len(respsA)+1) || st.Failed != 0 {
 		t.Fatalf("drain accounting wrong: %+v", st)
-	}
-}
-
-// TestWorkTagCacheBounded: the per-workload trace-tag cache must not grow
-// without bound on a long-lived server seeing many distinct workloads.
-func TestWorkTagCacheBounded(t *testing.T) {
-	s, err := New(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < workTagCacheMax+64; i++ {
-		k := *testKey // distinct pointer per iteration; workTag is identity-keyed
-		if tag := s.workTag(phiwork.NewRSAPrivate(&k)); tag == "" {
-			t.Fatal("empty work tag")
-		}
-	}
-	size := 0
-	s.workTags.Range(func(_, _ any) bool {
-		size++
-		return true
-	})
-	if size > workTagCacheMax {
-		t.Fatalf("workTags holds %d entries, cap is %d", size, workTagCacheMax)
 	}
 }

@@ -28,7 +28,7 @@
 //
 // Execution runs on a persistent phipool.Server: long-lived workers each
 // owning a private vector unit, a bounded batch queue whose fullness
-// propagates as backpressure to Submit, graceful drain on Close, and
+// propagates as backpressure to SubmitWork, graceful drain on Close, and
 // fail-fast rejection of queued batches when the context is canceled.
 // Results return asynchronously on a per-request channel together with
 // the simulated per-request latency; Stats aggregates queue depth, the
@@ -69,19 +69,19 @@ import (
 // BatchSize is the number of lanes in one batch (one request per lane).
 const BatchSize = rsakit.BatchSize
 
-// Errors returned by Submit or delivered in Result.Err.
+// Errors returned by SubmitWork or delivered in Result.Err.
 var (
 	// ErrCanceled marks requests abandoned by context cancellation:
 	// requests still waiting in a per-workload buffer or in a batch that
 	// was queued but never executed. In-flight batches are drained, so
 	// their requests complete normally.
 	ErrCanceled = errors.New("phiserve: canceled")
-	// ErrClosed reports a Submit after Close.
+	// ErrClosed reports a SubmitWork after Close.
 	ErrClosed = errors.New("phiserve: server closed")
-	// ErrNotStarted reports a Submit before Start.
+	// ErrNotStarted reports a SubmitWork before Start.
 	ErrNotStarted = errors.New("phiserve: server not started")
 	// ErrDeadlineExceeded marks requests whose SLO deadline expired before
-	// a kernel pass could serve them: rejected at Submit (deadline already
+	// a kernel pass could serve them: rejected at SubmitWork (deadline already
 	// past), dropped when their batch sealed, or dropped at the dispatch
 	// queue / pre-pass filter. The lane never burns card cycles.
 	ErrDeadlineExceeded = errors.New("phiserve: deadline exceeded before execution")
@@ -104,7 +104,7 @@ type Config struct {
 	// requests before dispatching. Defaults to 2ms.
 	FillDeadline time.Duration
 	// QueueDepth bounds the dispatch queue between the scheduler and the
-	// workers; a full queue blocks dispatch and, transitively, Submit
+	// workers; a full queue blocks dispatch and, transitively, SubmitWork
 	// (backpressure). The light-class fast lane gets its own queue of the
 	// same depth. Defaults to 2*Workers.
 	QueueDepth int
@@ -131,10 +131,12 @@ type Config struct {
 	Resilience Resilience
 	// Telemetry attaches external observability sinks. A non-nil Registry
 	// receives the scheduler's metric set (also served by
-	// telemetry.Handler); a non-nil Tracer additionally records the
-	// per-request lifecycle as Chrome trace events. Nil (the default)
-	// means no tracing; metrics then live on a private registry so Stats
-	// keeps working, reachable via Server.Telemetry.
+	// telemetry.Handler); a non-nil Tracer additionally records passes and
+	// fill windows as track slices and faults, retries and breaker
+	// transitions as instants (request spans come from a Journeys recorder
+	// on the same bundle). Nil (the default) means no tracing; metrics
+	// then live on a private registry so Stats keeps working, reachable
+	// via Server.Telemetry.
 	Telemetry *telemetry.Telemetry
 	// Labels are key,value pairs stamped on every metric this server
 	// registers (e.g. "card","0"). They are mandatory when several servers
@@ -142,10 +144,6 @@ type Config struct {
 	// stateful counters, and the registry panics on the duplicate
 	// function-backed metrics. The multi-card fleet labels each card.
 	Labels []string
-	// TrackBase offsets this server's trace tracks (TrackBase is the
-	// scheduler/control track, TrackBase+1+i is worker i). Servers sharing
-	// one Tracer — the fleet's cards — must use disjoint ranges.
-	TrackBase int64
 	// Redispatch, when non-nil, is offered work this server would rather
 	// hand off than serve locally: deadline-fired partial batches,
 	// fault-detected lanes awaiting a retry, and requests admitted while
@@ -163,8 +161,9 @@ type Config struct {
 	// came with.
 	Journeys *phitrace.Recorder
 	// Card is this server's index in a multi-card fleet, stamped on
-	// journey events so a steal hop is visible as a card change. 0 for a
-	// standalone server; the fleet sets it.
+	// journey events so a steal hop is visible as a card change, and the
+	// base of its trace tracks (see ctl). 0 for a standalone server; the
+	// fleet sets it.
 	Card int
 }
 
@@ -219,7 +218,7 @@ type Result struct {
 	BatchCycles float64
 	// SimLatency is this request's service latency in seconds on the
 	// simulated machine: one kernel pass at the server's worker count
-	// (queueing delay is host-side and reported by the A6 load model).
+	// (queueing delay is host-side, in phiserve_request_wall_seconds).
 	SimLatency float64
 	// Fallback reports that the request was served by the workload's
 	// scalar path: the breaker was open, or retries were exhausted.
@@ -232,15 +231,13 @@ type Result struct {
 
 // request is one queued operation. A request's pointer can travel between
 // servers (the fleet's work stealing moves it via Adopt), so everything
-// needed to resolve it rides inside: the span string fixed at Submit
-// keeps trace identity unique across cards, and the done CAS keeps
-// resolution exactly-once no matter how many cards race.
+// needed to resolve it rides inside: the journey keeps its record in one
+// ring across cards, and the done CAS keeps resolution exactly-once no
+// matter how many cards race.
 type request struct {
-	id   int64  // per-server ordinal, assigned by Submit
-	span string // trace-span identity, globally unique (TrackBase-scoped)
 	work phiwork.Workload
 	in   phiwork.Input
-	at   time.Time    // Submit time, for the wall-latency histogram
+	at   time.Time    // SubmitWork time, for the wall-latency histogram
 	resp chan Result  // buffered(1); receives exactly one Result
 	done atomic.Bool  // set by Server.finish; guards exactly-once delivery
 	hops atomic.Int32 // Adopt count, bounding steal ping-pong
@@ -249,11 +246,9 @@ type request struct {
 	// deadline — zero means none; a lane past it is dropped at the next
 	// checkpoint (batch seal, dispatch dequeue, pre-pass filter) instead
 	// of burning card cycles. ctx is the submitter's context, checked at
-	// the same checkpoints so an abandoned request frees its lane. tenant
-	// rides along for the admission layer's accounting.
+	// the same checkpoints so an abandoned request frees its lane.
 	deadline time.Time
 	ctx      context.Context
-	tenant   string
 	// journey is the request's phitrace record (nil when journeys are
 	// off). It carries its own recorder, so a stolen request resolves
 	// into the right ring no matter which card finishes it.
@@ -341,25 +336,18 @@ type Server struct {
 	mu       sync.Mutex
 	started  bool
 	closed   bool
-	inFlight sync.WaitGroup // Submits between the closed check and the enqueue
+	inFlight sync.WaitGroup // SubmitWork calls between the closed check and the enqueue
 
 	// tel is the server's telemetry bundle: the caller's, or a private
 	// metrics-only bundle so the registry (and hence Stats) always exists.
 	tel    *telemetry.Telemetry
 	tracer *telemetry.Tracer
-	// reqSeq numbers requests for trace-span identities.
-	reqSeq atomic.Int64
-	// workTags caches a short display tag per workload for trace labels,
-	// bounded by workTagCacheMax (see workTag).
-	workTags     sync.Map // phiwork.Workload -> string
-	workTagSeq   atomic.Int64
-	workTagCount atomic.Int64
 
 	stats *statsAcc
 }
 
 // New validates cfg (applying defaults) and builds a stopped server; call
-// Start before Submit.
+// Start before SubmitWork.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Machine.MaxThreads() < 1 {
@@ -453,48 +441,6 @@ func (s *Server) resolveDeadBatch(b *batch) {
 // /trace endpoints for this server.
 func (s *Server) Telemetry() *telemetry.Telemetry { return s.tel }
 
-// workTagCacheMax bounds the workTags cache. A long-lived server seeing
-// millions of distinct workloads must not grow the map forever; the tags
-// only feed trace labels, so when the cap is hit the cache is simply
-// reset — a workload seen again after a reset gets a new ordinal, which
-// is harmless.
-const workTagCacheMax = 1024
-
-// KeyTag exposes the short display tag ("rsa-1024#2") of the key's
-// rsa-priv workload — the compat spelling of WorkTag for RSA-only
-// callers.
-func (s *Server) KeyTag(key *rsakit.PrivateKey) string {
-	return s.workTag(phiwork.RSAPrivateFor(key))
-}
-
-// WorkTag exposes a workload's short display tag ("dhe-fixed-modp2048#3")
-// so a fleet router can label the journeys it begins with the same tag
-// the card's own spans and journey events use.
-func (s *Server) WorkTag(w phiwork.Workload) string { return s.workTag(w) }
-
-// workTag returns a stable short label for a workload: its Tag plus an
-// arrival ordinal distinguishing same-shape instances ("rsa-1024#2").
-func (s *Server) workTag(w phiwork.Workload) string {
-	if tag, ok := s.workTags.Load(w); ok {
-		return tag.(string)
-	}
-	tag := w.Tag() + "#" + strconv.FormatInt(s.workTagSeq.Add(1), 10)
-	if prev, loaded := s.workTags.LoadOrStore(w, tag); loaded {
-		return prev.(string)
-	}
-	if s.workTagCount.Add(1) > workTagCacheMax {
-		// Wholesale eviction: concurrent readers just re-insert their
-		// workloads. Racing resetters double-clear at worst — the count
-		// only shrinks.
-		s.workTags.Range(func(k, _ any) bool {
-			s.workTags.Delete(k)
-			return true
-		})
-		s.workTagCount.Store(0)
-	}
-	return tag
-}
-
 // breakerTransition is the breaker's state-change hook: it keeps the
 // breaker-state gauge current and drops an instant event on the control
 // track. Runs under the breaker's lock — it must not call back into it,
@@ -535,7 +481,7 @@ func JourneyOutcome(err error) phitrace.Outcome {
 // same request, and only the first wins (reported by the return). As the
 // single resolution point it also owns completion accounting — the
 // completed/failed counters (total and per-workload), the wall-latency
-// histogram, and the close of the request's trace span.
+// histogram, and the terminal of the request's journey.
 func (s *Server) finish(q *request, res Result) bool {
 	if !q.done.CompareAndSwap(false, true) {
 		return false
@@ -557,19 +503,6 @@ func (s *Server) finish(q *request, res Result) bool {
 			note = "fill=" + strconv.Itoa(res.BatchFill)
 		}
 		q.journey.Finish(JourneyOutcome(res.Err), note)
-	}
-	if s.tracer != nil {
-		args := telemetry.Args{
-			"fill":     res.BatchFill,
-			"attempts": res.Attempts,
-			"fallback": res.Fallback,
-		}
-		if res.Err != nil {
-			args["err"] = res.Err.Error()
-		} else {
-			args["sim_cycles"] = res.BatchCycles
-		}
-		s.tracer.SpanEnd(q.span, "request", args)
 	}
 	q.resp <- res
 	return true
@@ -680,10 +613,10 @@ func (s *Server) EstimatedDelay() time.Duration {
 }
 
 // ctl is the trace track for the scheduler goroutine, breaker transitions
-// and the timeout monitor: Config.TrackBase (0 for a standalone server).
-// Workers use ctl()+1+idx, so servers sharing a Tracer stay on disjoint
-// rows.
-func (s *Server) ctl() int64 { return s.cfg.TrackBase }
+// and the timeout monitor: Card<<20 (0 for a standalone server). Workers
+// use ctl()+1+idx, so the cards of a fleet sharing a Tracer stay on
+// disjoint rows.
+func (s *Server) ctl() int64 { return int64(s.cfg.Card) << 20 }
 
 // trackName decorates a trace-track name with the server's labels
 // ("scheduler [card=2]"), so fleet traces stay readable.
@@ -745,32 +678,18 @@ type SubmitOpts struct {
 	Journey *phitrace.Journey
 }
 
-// Submit enqueues one private-key operation c^D mod N and returns the
-// channel its Result will arrive on — the compat spelling of SubmitWork
-// over the key's canonical rsa-priv workload. ctx bounds only this call's
-// wait (backpressure can block it); once nil is returned, exactly one
-// Result is guaranteed to arrive. c must be in [0, key.N).
-func (s *Server) Submit(ctx context.Context, key *rsakit.PrivateKey, c bn.Nat) (<-chan Result, error) {
-	return s.SubmitWith(ctx, key, c, SubmitOpts{})
-}
-
-// SubmitWith is Submit with admission metadata.
-func (s *Server) SubmitWith(ctx context.Context, key *rsakit.PrivateKey, c bn.Nat, opts SubmitOpts) (<-chan Result, error) {
-	if key == nil {
-		return nil, fmt.Errorf("phiserve: nil key")
-	}
-	return s.SubmitWork(ctx, phiwork.RSAPrivateFor(key), phiwork.Input{A: c}, opts)
-}
-
-// SubmitWork enqueues one operation of any registered workload kind, with
-// admission metadata: a tenant id and an SLO deadline that travel with
-// the request through the scheduler, the dispatch queue, work stealing
-// and the worker pool. The input is validated by the workload before it
-// can occupy a lane; an already-expired context or deadline is rejected
-// here — the request never reaches the pool. After admission, ctx keeps
-// mattering: a request whose context is canceled while it waits is
-// dropped at the next checkpoint (batch seal, queue dequeue, pre-pass
-// filter) and resolves with ErrCanceled.
+// SubmitWork enqueues one operation of any registered workload kind and
+// returns the channel its Result will arrive on. It carries admission
+// metadata: a tenant id and an SLO deadline that travel with the request
+// through the scheduler, the dispatch queue, work stealing and the worker
+// pool. The input is validated by the workload before it can occupy a
+// lane; an already-expired context or deadline is rejected here — the
+// request never reaches the pool. ctx bounds this call's wait
+// (backpressure can block it); once nil is returned, exactly one Result
+// is guaranteed to arrive. After admission, ctx keeps mattering: a
+// request whose context is canceled while it waits is dropped at the next
+// checkpoint (batch seal, queue dequeue, pre-pass filter) and resolves
+// with ErrCanceled.
 //
 // Requests aggregate into batches by Workload instance identity: resolve
 // instances through the phiwork.*For caches (or reuse your own) so equal
@@ -829,44 +748,20 @@ func (s *Server) SubmitWork(ctx context.Context, w phiwork.Workload, in phiwork.
 		if !deadline.IsZero() {
 			slo = deadline.Sub(now)
 		}
-		journey = s.cfg.Journeys.BeginWork(opts.Tenant, s.workTag(w),
+		journey = s.cfg.Journeys.BeginWork(opts.Tenant, w.Tag(),
 			string(w.Kind()), deadline, slo)
 		ownJourney = true
 		journey.Event("workload", s.cfg.Card, string(w.Kind()))
 	}
 	journey.Event("submit", s.cfg.Card, "")
 	req := &request{
-		id:       s.reqSeq.Add(1),
 		work:     w,
 		in:       in,
 		at:       now,
 		resp:     make(chan Result, 1),
 		deadline: deadline,
 		ctx:      ctx,
-		tenant:   opts.Tenant,
 		journey:  journey,
-	}
-	// The span ID is scoped by TrackBase so fleets sharing one Tracer
-	// never collide (every card's reqSeq counts 1,2,3...), and it is
-	// fixed here because the request may be resolved by a different
-	// server after a steal.
-	req.span = strconv.FormatInt(s.cfg.TrackBase, 10) + "." +
-		strconv.FormatInt(req.id, 10)
-	// The span opens before the enqueue: once the request is in the
-	// intake, a worker can resolve it (and close the span) before this
-	// goroutine runs another line. The rejection paths below close the
-	// span themselves so begins and ends stay balanced.
-	if s.tracer != nil {
-		args := telemetry.Args{"key": s.workTag(w), "workload": string(w.Kind())}
-		if req.tenant != "" {
-			args["tenant"] = req.tenant
-		}
-		if journey != nil {
-			// Cross-link: the journey id in the span args lets a Perfetto
-			// view jump to the /journeys record and vice versa.
-			args["journey"] = journey.ID()
-		}
-		s.tracer.SpanBegin(req.span, "request", args)
 	}
 	// Light-class requests ride their own intake so heavy backpressure
 	// (a closed heavy gate, a full heavy intake buffer) cannot block a
@@ -881,31 +776,15 @@ func (s *Server) SubmitWork(ctx context.Context, w phiwork.Workload, in phiwork.
 		s.stats.workload(w.Kind()).submitted.Inc()
 		return req.resp, nil
 	case <-s.ctx.Done():
-		s.tracer.SpanEnd(req.span, "request", telemetry.Args{"err": "not submitted"})
 		if ownJourney {
 			journey.Finish(phitrace.OutcomeCanceled, "not submitted")
 		}
 		return nil, ErrCanceled
 	case <-ctx.Done():
-		s.tracer.SpanEnd(req.span, "request", telemetry.Args{"err": "not submitted"})
 		if ownJourney {
 			journey.Finish(phitrace.OutcomeCanceled, "not submitted")
 		}
 		return nil, ctx.Err()
-	}
-}
-
-// Do is the synchronous convenience wrapper: Submit then wait.
-func (s *Server) Do(ctx context.Context, key *rsakit.PrivateKey, c bn.Nat) (Result, error) {
-	ch, err := s.Submit(ctx, key, c)
-	if err != nil {
-		return Result{}, err
-	}
-	select {
-	case res := <-ch:
-		return res, nil
-	case <-ctx.Done():
-		return Result{}, ctx.Err()
 	}
 }
 
@@ -942,7 +821,7 @@ func (s *Server) Close() {
 	s.closed = true
 	s.mu.Unlock()
 
-	s.inFlight.Wait()    // racing Submits have enqueued or given up
+	s.inFlight.Wait()    // racing SubmitWork calls have enqueued or given up
 	close(s.intake)      // scheduler flushes pending and exits...
 	close(s.intakeLight) // ...once both intakes are drained
 	// Wake workers parked on injected stalls before waiting on the
@@ -978,7 +857,7 @@ const overflowPollInterval = 250 * time.Microsecond
 // the dispatch queue froze fill deadlines and intake for every other.
 // Backpressure survives the fix, per class: once a class's overflow list
 // is QueueDepth deep the scheduler stops pulling that class's intake (a
-// nil channel never selects), so that intake buffer fills and Submit
+// nil channel never selects), so that intake buffer fills and SubmitWork
 // blocks — while the other class, deadline flushes and cancellation keep
 // being served. A heavy flood therefore backpressures heavy submitters
 // without ever gating the light lane.
@@ -1054,7 +933,7 @@ func (s *Server) schedule() {
 		if s.tracer != nil {
 			s.tracer.Slice(s.ctl(), "batch-fill", p.openedAt,
 				time.Since(p.openedAt), telemetry.Args{
-					"lanes": len(p.reqs), "key": s.workTag(w)})
+					"lanes": len(p.reqs), "key": w.Tag()})
 		}
 		// Batch seal is the first drop checkpoint: lanes whose submitter
 		// canceled while they buffered, or whose deadline already expired,

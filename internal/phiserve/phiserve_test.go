@@ -12,12 +12,16 @@ import (
 	"phiopenssl/internal/core"
 	"phiopenssl/internal/engine"
 	"phiopenssl/internal/knc"
+	"phiopenssl/internal/phiwork"
 	"phiopenssl/internal/rsakit"
 )
 
 // testKey is a deterministic 512-bit key (small sizes keep the host-time
 // cost of the thousand-request test low; correctness is size-independent).
 var testKey = mustKey(512, 7)
+
+// testWork is testKey's canonical rsa-priv workload.
+var testWork = phiwork.RSAPrivateFor(testKey)
 
 func mustKey(bits int, seed int64) *rsakit.PrivateKey {
 	k, err := rsakit.GenerateKey(mrand.New(mrand.NewSource(seed)), bits)
@@ -78,7 +82,7 @@ func TestThousandRequestsMatchPerOpAndBeatIt(t *testing.T) {
 
 	resps := make([]<-chan Result, n)
 	for i := 0; i < n; i++ {
-		ch, err := s.Submit(context.Background(), testKey, cs[i%nc])
+		ch, err := s.SubmitWork(context.Background(), testWork, phiwork.Input{A: cs[i%nc]}, SubmitOpts{})
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
@@ -125,7 +129,7 @@ func TestFillDeadlineDispatchesPartialBatch(t *testing.T) {
 	s.Start(context.Background())
 	var resps []<-chan Result
 	for _, c := range cs {
-		ch, err := s.Submit(context.Background(), testKey, c)
+		ch, err := s.SubmitWork(context.Background(), testWork, phiwork.Input{A: c}, SubmitOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,7 +184,7 @@ func TestCancelMidStreamDrainsInFlightFailsQueued(t *testing.T) {
 	accepted := 0
 	canceledAtSubmit := 0
 	for i := 0; i < n; i++ {
-		ch, err := s.Submit(context.Background(), testKey, cs[i%nc])
+		ch, err := s.SubmitWork(context.Background(), testWork, phiwork.Input{A: cs[i%nc]}, SubmitOpts{})
 		if err != nil {
 			if !errors.Is(err, ErrCanceled) {
 				t.Fatalf("submit %d: %v", i, err)
@@ -194,8 +198,8 @@ func TestCancelMidStreamDrainsInFlightFailsQueued(t *testing.T) {
 			cancel() // mid-stream
 		}
 	}
-	if _, err := s.Submit(context.Background(), testKey, cs[0]); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("Submit after cancel: %v", err)
+	if _, err := s.SubmitWork(context.Background(), testWork, phiwork.Input{A: cs[0]}, SubmitOpts{}); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("SubmitWork after cancel: %v", err)
 	}
 	s.Close()
 
@@ -241,7 +245,7 @@ func TestGracefulCloseFlushesOpenBatch(t *testing.T) {
 	s.Start(context.Background())
 	var resps []<-chan Result
 	for _, c := range cs {
-		ch, err := s.Submit(context.Background(), testKey, c)
+		ch, err := s.SubmitWork(context.Background(), testWork, phiwork.Input{A: c}, SubmitOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -258,8 +262,8 @@ func TestGracefulCloseFlushesOpenBatch(t *testing.T) {
 			t.Fatalf("request %d after graceful close: %+v", i, res)
 		}
 	}
-	if _, err := s.Submit(context.Background(), testKey, cs[0]); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Submit after Close: %v", err)
+	if _, err := s.SubmitWork(context.Background(), testWork, phiwork.Input{A: cs[0]}, SubmitOpts{}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("SubmitWork after Close: %v", err)
 	}
 	s.Close() // idempotent
 }
@@ -293,11 +297,11 @@ func TestTwoKeysNeverShareABatch(t *testing.T) {
 	s.Start(context.Background())
 	var respsA, respsB []<-chan Result
 	for i := 0; i < 8; i++ {
-		chA, err := s.Submit(context.Background(), testKey, csA[i])
+		chA, err := s.SubmitWork(context.Background(), testWork, phiwork.Input{A: csA[i]}, SubmitOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		chB, err := s.Submit(context.Background(), keyB, csB[i])
+		chB, err := s.SubmitWork(context.Background(), phiwork.RSAPrivateFor(keyB), phiwork.Input{A: csB[i]}, SubmitOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -327,17 +331,17 @@ func TestSubmitValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Submit(context.Background(), testKey, bn.One()); !errors.Is(err, ErrNotStarted) {
-		t.Fatalf("Submit before Start: %v", err)
+	if _, err := s.SubmitWork(context.Background(), testWork, phiwork.Input{A: bn.One()}, SubmitOpts{}); !errors.Is(err, ErrNotStarted) {
+		t.Fatalf("SubmitWork before Start: %v", err)
 	}
-	if _, err := s.Submit(context.Background(), nil, bn.One()); err == nil {
+	if _, err := s.SubmitWork(context.Background(), nil, phiwork.Input{A: bn.One()}, SubmitOpts{}); err == nil {
 		t.Fatal("nil key accepted")
 	}
-	if _, err := s.Submit(context.Background(), testKey, testKey.N); err == nil {
+	if _, err := s.SubmitWork(context.Background(), testWork, phiwork.Input{A: testKey.N}, SubmitOpts{}); err == nil {
 		t.Fatal("out-of-range ciphertext accepted")
 	}
 	s.Start(context.Background())
-	res, err := s.Do(context.Background(), testKey, bn.One())
+	res, err := s.DoWork(context.Background(), testWork, phiwork.Input{A: bn.One()})
 	if err != nil || res.Err != nil || !res.M.Equal(bn.One()) {
 		t.Fatalf("Do(1^d mod n): %+v, %v", res, err)
 	}

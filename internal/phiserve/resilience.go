@@ -105,7 +105,7 @@ const jitterSeedOffset = 0x6a69747465 // "jitte"
 // Perfetto).
 type worker struct {
 	id      int
-	track   int64 // trace track: Config.TrackBase + 1 + id
+	track   int64 // trace track: the server's ctl() + 1 + id
 	backend vpu.Backend
 	inj     *faultsim.Injector
 	scalar  engine.Engine
@@ -115,7 +115,7 @@ type worker struct {
 	meter *knc.Meter
 }
 
-// tid is the worker's trace track (the server's TrackBase row is the
+// tid is the worker's trace track (the server's ctl() row is the
 // scheduler/control).
 func (w *worker) tid() int64 { return w.track }
 
@@ -134,7 +134,7 @@ func (s *Server) newWorker() *worker {
 	r := s.cfg.Resilience
 	w := &worker{
 		id:      idx,
-		track:   s.cfg.TrackBase + 1 + int64(idx),
+		track:   s.ctl() + 1 + int64(idx),
 		backend: vpu.NewBackend(s.cfg.Backend),
 		rng: mrand.New(mrand.NewSource(
 			faultsim.Config{Seed: r.Seed + jitterSeedOffset}.ForWorker(idx).Seed)),
@@ -359,7 +359,7 @@ func (s *Server) tracePass(w *worker, b *batch, start time.Time, bd *phiwork.Bre
 		return
 	}
 	args := telemetry.Args{
-		"key":           s.workTag(b.work),
+		"key":           b.work.Tag(),
 		"workload":      string(b.work.Kind()),
 		"fill":          fill,
 		"attempt":       attempt,
@@ -460,7 +460,7 @@ func (s *Server) runScalarOn(eng engine.Engine, reqs []*request, attempts int, t
 		cycles := eng.Cycles()
 		simLat := s.cfg.Machine.Latency(s.cfg.Workers, cycles)
 		s.tracer.Slice(tid, "fallback-op", opStart, time.Since(opStart),
-			telemetry.Args{"req": q.id, "sim_cycles": cycles, "attempt": attempts})
+			telemetry.Args{"journey": q.journey.ID(), "sim_cycles": cycles, "attempt": attempts})
 		if err != nil {
 			s.finish(q, Result{Err: err, Fallback: true, Attempts: attempts})
 			continue

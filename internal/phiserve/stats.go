@@ -17,7 +17,7 @@ import (
 // from the same counters the /metrics endpoint exports, so the two
 // surfaces cannot drift apart.
 type Stats struct {
-	// Submitted / Completed / Failed count requests accepted by Submit,
+	// Submitted / Completed / Failed count requests accepted by SubmitWork,
 	// resolved with a plaintext, and resolved with an error
 	// (cancellation included). Completed includes fallback-served ops.
 	Submitted, Completed, Failed int64
@@ -225,7 +225,7 @@ func newStatsAcc(reg *telemetry.Registry, labels []string) *statsAcc {
 	}
 	a := &statsAcc{
 		submitted: reg.Counter("phiserve_requests_submitted_total",
-			"requests accepted by Submit", labels...),
+			"requests accepted by SubmitWork", labels...),
 		completed: reg.Counter("phiserve_requests_completed_total",
 			"requests resolved with a plaintext (fallback included)", labels...),
 		failed: reg.Counter("phiserve_requests_failed_total",
@@ -253,7 +253,7 @@ func newStatsAcc(reg *telemetry.Registry, labels []string) *statsAcc {
 			"per-request service latency on the simulated machine",
 			telemetry.Pow2Buckets(1e-6, 16), labels...),
 		wallLatency: reg.Histogram("phiserve_request_wall_seconds",
-			"host wall time from Submit to resolve",
+			"host wall time from SubmitWork to resolve",
 			telemetry.Pow2Buckets(1e-6, 16), labels...),
 		queueWait: reg.Histogram("phiserve_queue_wait_seconds",
 			"host wall time a batch waited in the dispatch queue",
@@ -292,7 +292,7 @@ func newStatsAcc(reg *telemetry.Registry, labels []string) *statsAcc {
 	mkKind := func(label string) *workloadAcc {
 		return &workloadAcc{
 			submitted: reg.Counter("phiserve_workload_requests_total",
-				"requests accepted by Submit, by workload kind",
+				"requests accepted by SubmitWork, by workload kind",
 				L("workload", label)...),
 			completed: reg.Counter("phiserve_workload_completed_total",
 				"requests resolved with a result, by workload kind",

@@ -97,7 +97,7 @@ func (s *Server) offerSteal(w phiwork.Workload, reqs []*request, reason StealRea
 			q.journey.Event("steal", s.cfg.Card, reason.String())
 		}
 		s.tracer.Instant(s.ctl(), "steal", telemetry.Args{
-			"lanes": taken, "reason": reason.String(), "key": s.workTag(w)})
+			"lanes": taken, "reason": reason.String(), "key": w.Tag()})
 	}
 	return taken
 }

@@ -11,25 +11,24 @@ import (
 	"testing"
 	"time"
 
+	"phiopenssl/internal/phitrace"
+	"phiopenssl/internal/phiwork"
 	"phiopenssl/internal/telemetry"
 )
 
-// TestTelemetrySmoke is the end-to-end observability check: a thousand
-// requests stream through a traced server, and afterwards (a) the trace
-// buffer exports as valid Chrome trace-event JSON with exactly one
-// begin/end request span pair per submitted request, and (b) the
-// Prometheus endpoint scrape shows per-phase cycle attribution summing to
-// the total simulated cycle counter within 0.1%.
-func TestTelemetrySmoke(t *testing.T) {
-	const n = 1008 // 63 full 16-lane batches
+// tracedRun streams n rsa-priv requests through a server whose journey
+// recorder (1-in-sampleN sampling) shares its traced telemetry bundle,
+// checks every answer, and returns the closed server and the recorder.
+func tracedRun(t *testing.T, tel *telemetry.Telemetry, n, sampleN int) (*Server, *phitrace.Recorder) {
+	t.Helper()
 	nc := 24
 	cs, want, _ := perOpAnswers(t, testKey, nc, 700)
-
-	tel := telemetry.NewWithTrace(0)
+	rec := phitrace.New(phitrace.Config{Telemetry: tel, SampleN: sampleN, RingSize: n})
 	s, err := New(Config{
 		Workers:      4,
 		FillDeadline: 50 * time.Millisecond,
 		Telemetry:    tel,
+		Journeys:     rec,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -37,7 +36,7 @@ func TestTelemetrySmoke(t *testing.T) {
 	s.Start(context.Background())
 	resps := make([]<-chan Result, n)
 	for i := 0; i < n; i++ {
-		ch, err := s.Submit(context.Background(), testKey, cs[i%nc])
+		ch, err := s.SubmitWork(context.Background(), testWork, phiwork.Input{A: cs[i%nc]}, SubmitOpts{})
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
@@ -53,46 +52,53 @@ func TestTelemetrySmoke(t *testing.T) {
 		}
 	}
 	s.Close()
+	return s, rec
+}
 
-	// --- Trace: valid Chrome trace JSON, one resolve span per request.
+// traceEvent is the subset of a Chrome trace event the checks read.
+type traceEvent struct {
+	Name string  `json:"name"`
+	Cat  string  `json:"cat"`
+	Ph   string  `json:"ph"`
+	Ts   float64 `json:"ts"`
+	Pid  int64   `json:"pid"`
+	Tid  int64   `json:"tid"`
+	ID   string  `json:"id"`
+}
+
+// exportTrace round-trips the tracer through its Chrome trace-event JSON
+// export, failing on invalid JSON or a truncated buffer.
+func exportTrace(t *testing.T, tr *telemetry.Tracer) []traceEvent {
+	t.Helper()
 	var buf bytes.Buffer
-	if err := tel.Tracer.Export(&buf); err != nil {
+	if err := tr.Export(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var trace struct {
-		TraceEvents []struct {
-			Name string  `json:"name"`
-			Cat  string  `json:"cat"`
-			Ph   string  `json:"ph"`
-			Ts   float64 `json:"ts"`
-			Pid  int64   `json:"pid"`
-			Tid  int64   `json:"tid"`
-			ID   string  `json:"id"`
-		} `json:"traceEvents"`
+		TraceEvents []traceEvent `json:"traceEvents"`
 	}
 	if err := json.Unmarshal(buf.Bytes(), &trace); err != nil {
 		t.Fatalf("trace is not valid Chrome trace-event JSON: %v", err)
 	}
-	if dropped := tel.Tracer.Dropped(); dropped != 0 {
-		t.Fatalf("trace buffer dropped %d events; capacity too small for the smoke run", dropped)
+	if dropped := tr.Dropped(); dropped != 0 {
+		t.Fatalf("trace buffer dropped %d events; capacity too small for the run", dropped)
 	}
+	return trace.TraceEvents
+}
+
+// requestSpans checks that every request span in evs has exactly one
+// begin and one end, and returns the number of spans.
+func requestSpans(t *testing.T, evs []traceEvent) int {
+	t.Helper()
 	begins := map[string]int{}
 	ends := map[string]int{}
-	var passes, threads int
-	for _, ev := range trace.TraceEvents {
+	for _, ev := range evs {
 		switch {
 		case ev.Ph == "b" && ev.Cat == "request":
 			begins[ev.ID]++
 		case ev.Ph == "e" && ev.Cat == "request":
 			ends[ev.ID]++
-		case ev.Ph == "X" && ev.Name == "pass":
-			passes++
-		case ev.Ph == "M" && ev.Name == "thread_name":
-			threads++
 		}
-	}
-	if len(ends) != n {
-		t.Fatalf("trace has %d distinct resolve spans, want %d", len(ends), n)
 	}
 	for id, c := range ends {
 		if c != 1 {
@@ -100,6 +106,43 @@ func TestTelemetrySmoke(t *testing.T) {
 		}
 		if begins[id] != 1 {
 			t.Fatalf("request %s has %d begin spans", id, begins[id])
+		}
+	}
+	if len(begins) != len(ends) {
+		t.Fatalf("trace has %d begun spans but %d ended ones", len(begins), len(ends))
+	}
+	return len(ends)
+}
+
+// TestTelemetrySmoke is the end-to-end observability check: a thousand
+// requests stream through a traced server whose journey recorder keeps
+// every journey, and afterwards (a) the trace buffer exports as valid
+// Chrome trace-event JSON with exactly one begin/end request span pair per
+// submitted request, keyed by its journey id, and one pass slice per
+// batch, and (b) the Prometheus endpoint scrape shows per-phase cycle
+// attribution summing to the total simulated cycle counter within 0.1%.
+func TestTelemetrySmoke(t *testing.T) {
+	const n = 1008 // 63 full 16-lane batches
+	tel := telemetry.NewWithTrace(0)
+	s, _ := tracedRun(t, tel, n, 1)
+
+	// --- Trace: valid Chrome trace JSON, one request span per request.
+	evs := exportTrace(t, tel.Tracer)
+	if spans := requestSpans(t, evs); spans != n {
+		t.Fatalf("trace has %d request spans, want %d", spans, n)
+	}
+	var passes, threads int
+	for _, ev := range evs {
+		switch {
+		case ev.Ph == "b" && ev.Cat == "request":
+			// Journey ids number the recorder's journeys from 1.
+			if id, err := strconv.Atoi(ev.ID); err != nil || id < 1 || id > n {
+				t.Fatalf("request span id %q is not a journey id in 1..%d", ev.ID, n)
+			}
+		case ev.Ph == "X" && ev.Name == "pass":
+			passes++
+		case ev.Ph == "M" && ev.Name == "thread_name":
+			threads++
 		}
 	}
 	st := s.Stats()
@@ -137,6 +180,26 @@ func TestTelemetrySmoke(t *testing.T) {
 	if rel := math.Abs(phaseSum-total) / total; rel > 0.001 {
 		t.Fatalf("phase cycle attribution %v vs total %v: relative error %v > 0.1%%",
 			phaseSum, total, rel)
+	}
+}
+
+// TestTelemetrySampledSpans: with 1-in-16 tail sampling the trace holds
+// exactly one request span per kept journey — the journey is the only
+// per-request record, so a discarded journey leaves no span behind.
+func TestTelemetrySampledSpans(t *testing.T) {
+	const n = 320
+	tel := telemetry.NewWithTrace(0)
+	_, rec := tracedRun(t, tel, n, 16)
+	c := rec.Counts()
+	if c.Resolved != n {
+		t.Fatalf("resolved %d journeys, want %d", c.Resolved, n)
+	}
+	kept := c.KeptAnomalous + c.KeptSampled
+	if kept == 0 || kept == n {
+		t.Fatalf("kept %d of %d journeys; 1-in-16 sampling should keep some, not all", kept, n)
+	}
+	if spans := requestSpans(t, exportTrace(t, tel.Tracer)); int64(spans) != kept {
+		t.Fatalf("trace has %d request spans, recorder kept %d journeys", spans, kept)
 	}
 }
 

@@ -329,7 +329,7 @@ func (c Config) Simulate(rng *rand.Rand, n int, offered float64) (Point, *phitra
 		card := r.homes[q.key]
 		at := r.clock(q.at)
 		if r.rec != nil {
-			q.j = r.rec.BeginAt(at, r.tenants[q.tenant].ID, fmt.Sprintf("key-%d", q.key),
+			q.j = r.rec.BeginWorkAt(at, r.tenants[q.tenant].ID, fmt.Sprintf("key-%d", q.key), "",
 				epoch.Add(secs(q.deadline)), c.SLO)
 		}
 		q.j.EventAt(at, "route", card, "home")

@@ -19,9 +19,12 @@
 package phitrace
 
 import (
+	"strconv"
 	"strings"
 	"sync"
 	"time"
+
+	"phiopenssl/internal/telemetry"
 )
 
 // Outcome is a journey's terminal state. Exactly one is recorded per
@@ -139,7 +142,7 @@ func (j *Journey) Tenant() string {
 }
 
 // Workload returns the canonical workload kind the journey was begun
-// with via BeginWork ("" for the legacy Begin path).
+// with.
 func (j *Journey) Workload() string {
 	if j == nil {
 		return ""
@@ -179,10 +182,10 @@ func (j *Journey) EventDurAt(at time.Time, kind string, card int, note string, d
 }
 
 // appendLocked records an event, updating the derived anomaly flags. The
-// last slot of the fixed-size event buffer is reserved for the terminal
-// event so a chatty journey still ends with exactly one "end:". Events
-// racing in after resolution (e.g. an adopt note racing the adopted lane's
-// own completion) are dropped, so the terminal event is always last.
+// event list grows up to MaxEvents, whose last slot is reserved for the
+// terminal event so a chatty journey still ends with exactly one "end:".
+// Events racing in after resolution (e.g. an adopt note racing the adopted
+// lane's own completion) are dropped, so the terminal event is always last.
 func (j *Journey) appendLocked(e Event, terminal bool) {
 	if j.resolved && !terminal {
 		return
@@ -200,7 +203,7 @@ func (j *Journey) appendLocked(e Event, terminal bool) {
 	case "fallback":
 		j.fallback = true
 	}
-	if !terminal && len(j.events) >= cap(j.events)-1 {
+	if !terminal && len(j.events) >= j.rec.cfg.MaxEvents-1 {
 		j.truncated++
 		return
 	}
@@ -260,6 +263,27 @@ func (j *Journey) anomalyLocked() string {
 		}
 	}
 	return strings.Join(why, ",")
+}
+
+// writeSpan records a resolved journey into tr as one async span keyed by
+// the journey id: every step but the terminal becomes a mark, and the
+// outcome rides on the end event. Safe on a nil tracer.
+func (j *Journey) writeSpan(tr *telemetry.Tracer) {
+	if tr == nil {
+		return
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	last := len(j.events) - 1 // the terminal: always the final event
+	marks := make([]telemetry.Mark, last)
+	for i, e := range j.events[:last] {
+		marks[i] = telemetry.Mark{At: e.At, Name: e.Kind, Args: telemetry.Args{
+			"card": e.Card, "note": e.Note, "dur_us": e.Dur.Microseconds()}}
+	}
+	tr.Span(strconv.FormatUint(j.id, 10), "request", j.start, j.end,
+		telemetry.Args{"key": j.key, "workload": j.workload, "tenant": j.tenant}, marks,
+		telemetry.Args{"outcome": j.outcome.String(), "note": j.events[last].Note,
+			"anomaly": j.anomalyLocked()})
 }
 
 // Resolved reports whether a terminal outcome has been recorded.

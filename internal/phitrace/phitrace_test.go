@@ -20,12 +20,12 @@ func TestTailSamplingKeepsAnomalousAlways(t *testing.T) {
 	r := New(Config{RingSize: 1024, SampleN: 4, Clock: clock})
 	const normals, anomalous = 100, 17
 	for i := 0; i < normals; i++ {
-		j := r.Begin("gold", "key", clock().Add(time.Second), time.Second)
+		j := r.BeginWork("gold", "key", "", clock().Add(time.Second), time.Second)
 		advance(time.Millisecond)
 		j.Finish(OutcomeCompleted, "fill=16")
 	}
 	for i := 0; i < anomalous; i++ {
-		j := r.Begin("bronze", "key", clock().Add(time.Second), time.Second)
+		j := r.BeginWork("bronze", "key", "", clock().Add(time.Second), time.Second)
 		j.Event("route", 1, "home")
 		advance(time.Millisecond)
 		j.Finish(OutcomeShedOverload, "est high")
@@ -54,7 +54,7 @@ func TestSlowCompletionIsAnomalous(t *testing.T) {
 	clock, advance := mkClock()
 	r := New(Config{SampleN: 1 << 30, SLOFraction: 0.8, Clock: clock})
 	// 90% of a 100ms SLO: past the 0.8 fraction, kept as "slow".
-	j := r.Begin("", "k", clock().Add(100*time.Millisecond), 100*time.Millisecond)
+	j := r.BeginWork("", "k", "", clock().Add(100*time.Millisecond), 100*time.Millisecond)
 	advance(90 * time.Millisecond)
 	j.Finish(OutcomeCompleted, "")
 	if a := j.Anomaly(); a != "slow" {
@@ -64,7 +64,7 @@ func TestSlowCompletionIsAnomalous(t *testing.T) {
 		t.Fatalf("slow completion not kept: %+v", c)
 	}
 	// 10% of budget: plain completion, discarded at this sampling rate.
-	j2 := r.Begin("", "k", clock().Add(100*time.Millisecond), 100*time.Millisecond)
+	j2 := r.BeginWork("", "k", "", clock().Add(100*time.Millisecond), 100*time.Millisecond)
 	advance(10 * time.Millisecond)
 	j2.Finish(OutcomeCompleted, "")
 	if a := j2.Anomaly(); a != "" {
@@ -75,7 +75,7 @@ func TestSlowCompletionIsAnomalous(t *testing.T) {
 func TestJourneyExactlyOneTerminal(t *testing.T) {
 	clock, _ := mkClock()
 	r := New(Config{Clock: clock})
-	j := r.Begin("t", "k", time.Time{}, 0)
+	j := r.BeginWork("t", "k", "", time.Time{}, 0)
 	j.Finish(OutcomeCompleted, "first")
 	j.Finish(OutcomeFaulted, "second") // the steal/finish race, forced
 	j.Event("late", 0, "after terminal")
@@ -97,7 +97,7 @@ func TestJourneyExactlyOneTerminal(t *testing.T) {
 func TestJourneyEventBufferReservesTerminalSlot(t *testing.T) {
 	clock, _ := mkClock()
 	r := New(Config{MaxEvents: 4, Clock: clock})
-	j := r.Begin("t", "k", time.Time{}, 0)
+	j := r.BeginWork("t", "k", "", time.Time{}, 0)
 	for i := 0; i < 10; i++ {
 		j.Event("spam", 0, "")
 	}
@@ -119,7 +119,7 @@ func TestBurnRateTracksBadFraction(t *testing.T) {
 	r := New(Config{BurnWindows: []time.Duration{10 * time.Second}, BurnBudget: 0.05, Clock: clock})
 	// 20 resolutions, 2 bad: bad fraction 0.1 = 2x the 5% budget.
 	for i := 0; i < 20; i++ {
-		j := r.Begin("gold", "k", clock().Add(time.Second), time.Second)
+		j := r.BeginWork("gold", "k", "", clock().Add(time.Second), time.Second)
 		advance(10 * time.Millisecond)
 		if i < 2 {
 			j.Finish(OutcomeExpired, "")
@@ -143,7 +143,7 @@ func TestIncidentTriggerCooldownAndSnapshot(t *testing.T) {
 	clock, advance := mkClock()
 	r := New(Config{IncidentCooldown: time.Second, Clock: clock})
 	r.AddSnapshot("fleet-cards", func() any { return map[string]any{"cards": 2} })
-	j := r.Begin("gold", "k", time.Time{}, 0)
+	j := r.BeginWork("gold", "k", "", time.Time{}, 0)
 	j.Finish(OutcomeFaulted, "")
 	r.Trigger("breaker-open", map[string]any{"card": 1})
 	r.Trigger("breaker-open", map[string]any{"card": 1}) // within cooldown: suppressed
@@ -189,7 +189,7 @@ func TestShedStormAutoTriggersNamedIncident(t *testing.T) {
 		if i%4 == 0 {
 			tenant, card = "gold", 0
 		}
-		j := r.Begin(tenant, "k", clock().Add(time.Second), time.Second)
+		j := r.BeginWork(tenant, "k", "", clock().Add(time.Second), time.Second)
 		j.Event("route", card, "home")
 		j.Finish(OutcomeShedOverload, "")
 		advance(time.Millisecond)
@@ -210,7 +210,7 @@ func TestShedStormAutoTriggersNamedIncident(t *testing.T) {
 func TestWriteJourneysShape(t *testing.T) {
 	clock, advance := mkClock()
 	r := New(Config{SampleN: 1, Clock: clock})
-	j := r.Begin("gold", "rsa-512", clock().Add(time.Second), time.Second)
+	j := r.BeginWork("gold", "rsa-512", "", clock().Add(time.Second), time.Second)
 	j.Event("route", 0, "home")
 	advance(3 * time.Millisecond)
 	j.Finish(OutcomeCompleted, "fill=16")

@@ -18,8 +18,8 @@ type Config struct {
 	// SampleN keeps 1-in-N normal completions; anomalous journeys are
 	// always kept. 1 keeps everything (default 16).
 	SampleN int
-	// MaxEvents bounds each journey's event buffer; the last slot is
-	// reserved for the terminal event (default 32).
+	// MaxEvents bounds each journey's event list, which grows on demand;
+	// the last slot is reserved for the terminal event (default 32).
 	MaxEvents int
 	// SLOFraction marks a completion anomalous ("slow") when its latency
 	// exceeds this fraction of its SLO (default 0.8).
@@ -48,9 +48,11 @@ type Config struct {
 	// replace it.
 	Clock func() time.Time
 	// Telemetry, when set, receives phitrace_* counters and the lazily
-	// registered phitrace_slo_burn{tenant,window} gauges. Use one
-	// Recorder per registry — the metric names are not label-qualified
-	// per recorder.
+	// registered phitrace_slo_burn{tenant,window} gauges; its tracer, when
+	// set, receives every kept journey as one async request span (keyed by
+	// the journey id) and every incident as an instant. Use one Recorder
+	// per registry — the metric names are not label-qualified per
+	// recorder, and journey ids are unique only within a recorder.
 	Telemetry *telemetry.Telemetry
 	// OnResolve, when set, observes every resolved journey (kept or
 	// not) — the observe hammer's capture hook. Called outside the
@@ -256,16 +258,11 @@ func (r *Recorder) SampleN() int {
 	return r.cfg.SampleN
 }
 
-// Begin starts a journey at the recorder's clock. Safe on nil (returns a
-// nil journey, whose methods are all no-ops).
-func (r *Recorder) Begin(tenant, key string, deadline time.Time, slo time.Duration) *Journey {
-	return r.BeginWork(tenant, key, "", deadline, slo)
-}
-
 // BeginWork starts a journey tagged with its canonical workload kind
 // (the phiwork.Kind vocabulary: "rsa-priv", "dhe-fixed", "dhe-var",
 // "pss-sign", "public"); the tag rides into the /journeys view and
-// incident snapshots. Safe on nil.
+// incident snapshots. Safe on nil (returns a nil journey, whose methods
+// are all no-ops).
 func (r *Recorder) BeginWork(tenant, key, workload string, deadline time.Time, slo time.Duration) *Journey {
 	if r == nil {
 		return nil
@@ -273,10 +270,10 @@ func (r *Recorder) BeginWork(tenant, key, workload string, deadline time.Time, s
 	return r.BeginWorkAt(r.now(), tenant, key, workload, deadline, slo)
 }
 
-// BeginAt starts a journey at an explicit (virtual) time.
-func (r *Recorder) BeginAt(at time.Time, tenant, key string, deadline time.Time, slo time.Duration) *Journey {
-	return r.BeginWorkAt(at, tenant, key, "", deadline, slo)
-}
+// initialEvents is a new journey's event capacity. A clean request
+// records six to eight steps, so most journeys never grow; a chatty one
+// (retries, steals) grows by append up to Config.MaxEvents.
+const initialEvents = 8
 
 // BeginWorkAt is BeginWork at an explicit (virtual) time.
 func (r *Recorder) BeginWorkAt(at time.Time, tenant, key, workload string, deadline time.Time, slo time.Duration) *Journey {
@@ -293,7 +290,7 @@ func (r *Recorder) BeginWorkAt(at time.Time, tenant, key, workload string, deadl
 		deadline: deadline,
 		slo:      slo,
 		card:     -1,
-		events:   make([]Event, 0, r.cfg.MaxEvents),
+		events:   make([]Event, 0, min(initialEvents, r.cfg.MaxEvents)),
 	}
 }
 
@@ -344,6 +341,9 @@ func (r *Recorder) resolve(j *Journey, at time.Time, anomaly string) {
 	}
 	if tenant != "" {
 		r.ensureBurnGauges(tenant)
+	}
+	if keep {
+		j.writeSpan(r.cfg.Telemetry.Trace())
 	}
 	if stormFields != nil {
 		r.TriggerAt(at, "shed-storm", stormFields)

@@ -11,8 +11,9 @@ import (
 // LockBlock flags potentially-blocking operations performed while a
 // sync.Mutex/RWMutex is held: channel sends and receives, selects without
 // a default clause, ranging over a channel, sync.WaitGroup.Wait, and the
-// stack's known blocking calls (Submit/SubmitWith and the Redispatch
-// hook). This is the deadlock class behind PR 5's head-of-line fix: the
+// stack's known blocking calls (SubmitWork, which blocks on intake
+// backpressure; DoWork, which blocks on the result; phipool's Submit; and
+// the Redispatch hook). This is the deadlock class behind PR 5's head-of-line fix: the
 // scheduler blocked on a full dispatch queue while owning state the
 // drainers needed. A lock held across a blocking operation couples the
 // lock's critical section to another goroutine's progress — the shape
@@ -28,7 +29,7 @@ import (
 // attempts, not waits).
 var LockBlock = &analysis.Analyzer{
 	Name: "lockblock",
-	Doc:  "no channel operation or blocking Submit/Redispatch while a mutex is held",
+	Doc:  "no channel operation or blocking Submit/SubmitWork/DoWork/Redispatch while a mutex is held",
 	Run:  runLockBlock,
 }
 
@@ -37,7 +38,8 @@ var LockBlock = &analysis.Analyzer{
 // sync.WaitGroup so condition variables and errgroups stay out of scope).
 var blockingCalls = map[string]bool{
 	"Submit":     true,
-	"SubmitWith": true,
+	"SubmitWork": true,
+	"DoWork":     true,
 	"Redispatch": true,
 }
 

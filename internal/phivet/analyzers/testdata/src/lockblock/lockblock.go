@@ -22,6 +22,13 @@ func (p *pool) Submit(v int)         {}
 func (p *pool) TrySubmit(v int) bool { return true }
 func (p *pool) Redispatch(v int)     {}
 
+// server has the serving layers' submission shape: SubmitWork blocks on
+// intake backpressure, DoWork on the result.
+type server struct{}
+
+func (s *server) SubmitWork(v int) (<-chan int, error) { return nil, nil }
+func (s *server) DoWork(v int) (int, error)            { return 0, nil }
+
 func sendHeld(q *queue) {
 	q.mu.Lock()
 	q.ch <- 1 // want `channel send while holding q\.mu`
@@ -94,6 +101,34 @@ func submitHeld(q *queue, p *pool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	p.Submit(1) // want `blocking Submit call while holding q\.mu`
+}
+
+func submitWorkHeld(q *queue, s *server) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	_, _ = s.SubmitWork(1) // want `blocking SubmitWork call while holding q\.mu`
+}
+
+func doWorkHeld(q *queue, s *server) int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	v, _ := s.DoWork(1) // want `blocking DoWork call while holding q\.mu`
+	return v
+}
+
+func submitWorkInConditionHeld(q *queue, s *server) {
+	q.mu.Lock()
+	if _, err := s.SubmitWork(1); err != nil { // want `blocking SubmitWork call while holding q\.mu`
+		q.items = nil
+	}
+	q.mu.Unlock()
+}
+
+func submitWorkReleased(q *queue, s *server) (<-chan int, error) {
+	q.mu.Lock()
+	q.items = append(q.items, 1)
+	q.mu.Unlock()
+	return s.SubmitWork(1) // lock released first, as the door and the router do
 }
 
 func redispatchHeld(q *queue, p *pool) {

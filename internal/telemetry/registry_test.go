@@ -44,8 +44,7 @@ func TestNilSafety(t *testing.T) {
 	var tr *Tracer
 	tr.Slice(0, "x", timeZero(), 0, nil)
 	tr.Instant(0, "x", nil)
-	tr.SpanBegin("1", "x", nil)
-	tr.SpanEnd("1", "x", nil)
+	tr.Span("1", "x", timeZero(), timeZero(), nil, []Mark{{Name: "x"}}, nil)
 	tr.NameThread(0, "x")
 	if tr.Len() != 0 || tr.Dropped() != 0 || tr.Events() != nil {
 		t.Fatalf("nil tracer must be inert")

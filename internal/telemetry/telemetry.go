@@ -1,9 +1,10 @@
 // Package telemetry is the observability substrate for the batch-serving
 // pipeline: a lock-free metrics registry (counters, gauges, log-bucketed
 // histograms) with Prometheus-text and expvar-style JSON exposition, and a
-// per-request trace recorder that emits Chrome trace-event JSON viewable in
+// bounded trace recorder that emits Chrome trace-event JSON viewable in
 // Perfetto (one track per phipool worker, kernel passes as slices,
-// fault/retry/breaker transitions as instant events).
+// fault/retry/breaker transitions as instant events, and request
+// lifetimes as async spans, which the journey recorder writes).
 //
 // Everything in this package is nil-safe: a nil *Registry hands out nil
 // metric handles, and every method on a nil handle is a no-op. Callers

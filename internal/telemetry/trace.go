@@ -125,26 +125,40 @@ func (t *Tracer) Instant(tid int64, name string, args Args) {
 		Tid: tid, S: "t", Args: args})
 }
 
-// SpanBegin opens an async ("b") span for one request. Async spans live on
-// their own id, independent of any worker track, so a request's lifetime
-// (submit → resolve) renders as one bar even though it hops between the
-// scheduler and workers.
-func (t *Tracer) SpanBegin(id string, name string, args Args) {
-	if t == nil {
-		return
-	}
-	t.emit(Event{Name: name, Cat: "request", Ph: "b", Ts: t.now(), Pid: 1,
-		ID: id, Args: args})
+// Mark is one point-in-time step inside an async span.
+type Mark struct {
+	At   time.Time
+	Name string
+	Args Args
 }
 
-// SpanEnd closes the async ("e") span opened by SpanBegin with the same id
-// and name.
-func (t *Tracer) SpanEnd(id string, name string, args Args) {
+// Span records one request's whole lifetime as an async span keyed by id:
+// a "b" event at start carrying args, one "n" event per mark, and an "e"
+// event at end carrying endArgs. Async spans live on their own id,
+// independent of any worker track, so a request that hops between the
+// scheduler, workers and cards renders as one bar. The span is buffered
+// whole or dropped whole, so a full buffer never leaves a begin without
+// its end.
+func (t *Tracer) Span(id, name string, start, end time.Time, args Args, marks []Mark, endArgs Args) {
 	if t == nil {
 		return
 	}
-	t.emit(Event{Name: name, Cat: "request", Ph: "e", Ts: t.now(), Pid: 1,
+	evs := make([]Event, 0, len(marks)+2)
+	evs = append(evs, Event{Name: name, Cat: "request", Ph: "b", Ts: t.ts(start), Pid: 1,
 		ID: id, Args: args})
+	for _, m := range marks {
+		evs = append(evs, Event{Name: m.Name, Cat: "request", Ph: "n", Ts: t.ts(m.At), Pid: 1,
+			ID: id, Args: m.Args})
+	}
+	evs = append(evs, Event{Name: name, Cat: "request", Ph: "e", Ts: t.ts(end), Pid: 1,
+		ID: id, Args: endArgs})
+	t.mu.Lock()
+	if len(t.events)+len(evs) <= t.limit {
+		t.events = append(t.events, evs...)
+	} else {
+		t.dropped += int64(len(evs))
+	}
+	t.mu.Unlock()
 }
 
 // Len returns the number of buffered events.

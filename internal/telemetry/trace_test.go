@@ -16,11 +16,11 @@ func TestTracerExportParses(t *testing.T) {
 	tr := NewTracer(0)
 	tr.NameThread(0, "scheduler")
 	tr.NameThread(1, "worker 1")
-	tr.SpanBegin("7", "request", Args{"key": "rsa512"})
 	start := time.Now()
 	tr.Slice(1, "pass", start, 3*time.Millisecond, Args{"fill": 16, "cycles": 1234.5})
 	tr.Instant(1, "fault-detected", Args{"lanes": 2})
-	tr.SpanEnd("7", "request", Args{"attempts": 1})
+	tr.Span("7", "request", start, start.Add(4*time.Millisecond), Args{"key": "rsa512"},
+		[]Mark{{At: start.Add(time.Millisecond), Name: "seal"}}, Args{"outcome": "completed"})
 
 	var sb strings.Builder
 	if err := tr.Export(&sb); err != nil {
@@ -32,9 +32,9 @@ func TestTracerExportParses(t *testing.T) {
 	if err := json.Unmarshal([]byte(sb.String()), &doc); err != nil {
 		t.Fatalf("export is not valid trace-event JSON: %v\n%s", err, sb.String())
 	}
-	// process_name metadata + 2 thread names + b + X + i + e = 7 events.
-	if len(doc.TraceEvents) != 7 {
-		t.Fatalf("exported %d events, want 7: %+v", len(doc.TraceEvents), doc.TraceEvents)
+	// process_name metadata + 2 thread names + X + i + b + n + e = 8 events.
+	if len(doc.TraceEvents) != 8 {
+		t.Fatalf("exported %d events, want 8: %+v", len(doc.TraceEvents), doc.TraceEvents)
 	}
 	byPh := map[string]int{}
 	for _, e := range doc.TraceEvents {
@@ -43,9 +43,10 @@ func TestTracerExportParses(t *testing.T) {
 			t.Fatalf("event %q pid = %d, want 1", e.Name, e.Pid)
 		}
 	}
-	if byPh["M"] != 3 || byPh["b"] != 1 || byPh["e"] != 1 || byPh["X"] != 1 || byPh["i"] != 1 {
+	if byPh["M"] != 3 || byPh["b"] != 1 || byPh["n"] != 1 || byPh["e"] != 1 || byPh["X"] != 1 || byPh["i"] != 1 {
 		t.Fatalf("phase histogram = %v", byPh)
 	}
+	spanTs := map[string]float64{}
 	for _, e := range doc.TraceEvents {
 		if e.Ph == "X" {
 			if e.Dur < 2900 || e.Dur > 3100 {
@@ -55,8 +56,37 @@ func TestTracerExportParses(t *testing.T) {
 				t.Fatalf("slice tid = %d, want 1", e.Tid)
 			}
 		}
-		if e.Ph == "b" && e.ID != "7" {
-			t.Fatalf("span id = %q, want 7", e.ID)
+		if e.Ph == "b" || e.Ph == "n" || e.Ph == "e" {
+			if e.ID != "7" {
+				t.Fatalf("span event %q id = %q, want 7", e.Ph, e.ID)
+			}
+			spanTs[e.Ph] = e.Ts
+		}
+	}
+	// Span events carry their own timestamps, not the emit time.
+	if d := spanTs["n"] - spanTs["b"]; d < 999 || d > 1001 {
+		t.Fatalf("mark at %v µs into the span, want 1000", d)
+	}
+	if d := spanTs["e"] - spanTs["b"]; d < 3999 || d > 4001 {
+		t.Fatalf("span lasts %v µs, want 4000", d)
+	}
+}
+
+// TestTracerSpanAllOrNothing: a span that does not fit the bounded buffer
+// is dropped whole, so a truncated trace never holds a begin without its
+// end.
+func TestTracerSpanAllOrNothing(t *testing.T) {
+	tr := NewTracer(4) // 1 slot consumed by the process_name metadata
+	now := time.Now()
+	marks := []Mark{{At: now, Name: "seal"}, {At: now, Name: "pass"}}
+	tr.Span("1", "request", now, now, nil, marks, nil) // 4 events: does not fit
+	tr.Span("2", "request", now, now, nil, nil, nil)   // 2 events: fits
+	if tr.Len() != 3 || tr.Dropped() != 4 {
+		t.Fatalf("len = %d, dropped = %d; want 3 and 4", tr.Len(), tr.Dropped())
+	}
+	for _, e := range tr.Events()[1:] {
+		if e.ID != "2" {
+			t.Fatalf("buffered event %+v from the span that did not fit", e)
 		}
 	}
 }

@@ -7,7 +7,7 @@ import (
 )
 
 // JourneyRecorder collects per-request journey records — one timeline per
-// Submit, accumulating door/route/seal/pass/terminal events as the request
+// request, accumulating door/route/seal/pass/terminal events as the request
 // moves through admission, the fleet router, the batch scheduler and the
 // worker pool — and resolves each into a tail-sampled ring: anomalous
 // journeys (shed, expired, faulted, stolen, retried, or slower than a
@@ -39,7 +39,8 @@ type JourneyCounts = phitrace.Counts
 
 // NewJourneyRecorder builds a journey recorder. Set cfg.Telemetry to the
 // run's Telemetry bundle so the burn gauges and sampling counters land in
-// its registry and incidents mark the Chrome trace; then also set
+// its registry, and so every kept journey becomes its request's async span
+// in the Chrome trace and incidents mark it; then also set
 // Telemetry.Journeys = recorder to expose /journeys and /incidents.
 func NewJourneyRecorder(cfg JourneyConfig) *JourneyRecorder {
 	return phitrace.New(cfg)

@@ -6,13 +6,15 @@ import (
 	"phiopenssl/internal/phiserve"
 )
 
-// BatchServer is the streaming batch scheduler: it accepts single RSA
-// private-key requests — the shape of live server traffic — and
-// aggregates them per key into RSABatchSize-lane batches for the vector
-// kernels, dispatching each batch when its sixteenth request arrives or
-// when the fill deadline fires, whichever is first. Partial batches pad
-// unused lanes, so the deadline is the knob trading latency against lane
-// utilization (see internal/phiserve and experiment A6).
+// BatchServer is the streaming batch scheduler: it accepts single
+// operations of any Workload kind — the shape of live server traffic —
+// through SubmitWork/DoWork and aggregates them per workload into
+// RSABatchSize-lane batches for the vector kernels, dispatching each batch
+// when its sixteenth request arrives or when the fill deadline fires,
+// whichever is first. A partial batch computes only its live lanes on the
+// direct backend but still charges a full pass of simulated cycles, so the
+// deadline is the knob trading latency against lane utilization (see
+// internal/phiserve and experiment A6).
 type BatchServer = phiserve.Server
 
 // BatchServerConfig parameterizes a BatchServer: machine, worker count,
@@ -66,15 +68,15 @@ const (
 var (
 	// ErrServerCanceled marks requests abandoned by context cancellation.
 	ErrServerCanceled = phiserve.ErrCanceled
-	// ErrServerClosed reports a Submit after Close.
+	// ErrServerClosed reports a SubmitWork after Close.
 	ErrServerClosed = phiserve.ErrClosed
-	// ErrServerNotStarted reports a Submit before Start.
+	// ErrServerNotStarted reports a SubmitWork before Start.
 	ErrServerNotStarted = phiserve.ErrNotStarted
 )
 
 // NewBatchServer validates cfg (zero values get defaults: knc.Default()
 // machine, 4 workers, 2ms fill deadline, 2x workers queue depth) and
-// builds a stopped server; call Start, Submit/Do, then Close.
+// builds a stopped server; call Start, SubmitWork/DoWork, then Close.
 func NewBatchServer(cfg BatchServerConfig) (*BatchServer, error) {
 	return phiserve.New(cfg)
 }
@@ -82,12 +84,13 @@ func NewBatchServer(cfg BatchServerConfig) (*BatchServer, error) {
 // Fleet serves one host's traffic across several simulated coprocessor
 // cards — the paper's deployment premise of a host driving multiple Xeon
 // Phi boards. Each card is an independent BatchServer (own worker pool,
-// circuit breaker, fault schedule); keys route by consistent hashing, hot
-// keys spread over replicas, deadline-fired partial batches and
-// fault-retried lanes migrate to the least-loaded healthy sibling, and
-// Submit fails over past a card whose breaker is open. Submit/Do/Start/
-// Close/Stats mirror BatchServer, so callers swap one card for a fleet
-// without restructuring (see internal/phifleet and experiment A8).
+// circuit breaker, fault schedule); workloads route by consistent
+// hashing, hot workloads spread over replicas, deadline-fired partial
+// batches and fault-retried lanes migrate to the least-loaded healthy
+// sibling, and SubmitWork fails over past a card whose breaker is open.
+// SubmitWork/DoWork/Start/Close/Stats mirror BatchServer, so callers swap
+// one card for a fleet without restructuring (see internal/phifleet and
+// experiment A8).
 type Fleet = phifleet.Fleet
 
 // FleetConfig parameterizes a Fleet: card count, the per-card
@@ -103,7 +106,7 @@ type FleetStats = phifleet.Stats
 
 // NewFleet validates cfg (zero values get defaults: 2 cards, 2 replicas,
 // 16 vnodes, 3 steal hops) and builds a stopped fleet; call Start,
-// Submit/Do, then Close.
+// SubmitWork/DoWork, then Close.
 func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	return phifleet.New(cfg)
 }

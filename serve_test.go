@@ -73,8 +73,10 @@ func TestFacadeBatchServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.Submit(context.Background(), key, phiopenssl.NatFromUint64(1)); !errors.Is(err, phiopenssl.ErrServerNotStarted) {
-		t.Fatalf("Submit before Start: %v", err)
+	work := phiopenssl.RSAPrivateWorkload(key)
+	one := phiopenssl.WorkloadInput{A: phiopenssl.NatFromUint64(1)}
+	if _, err := srv.SubmitWork(context.Background(), work, one, phiopenssl.SubmitOpts{}); !errors.Is(err, phiopenssl.ErrServerNotStarted) {
+		t.Fatalf("SubmitWork before Start: %v", err)
 	}
 	srv.Start(context.Background())
 
@@ -87,7 +89,7 @@ func TestFacadeBatchServer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ch, err := srv.Submit(context.Background(), key, c)
+		ch, err := srv.SubmitWork(context.Background(), work, phiopenssl.WorkloadInput{A: c}, phiopenssl.SubmitOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,8 +102,8 @@ func TestFacadeBatchServer(t *testing.T) {
 		}
 	}
 	srv.Close()
-	if _, err := srv.Submit(context.Background(), key, phiopenssl.NatFromUint64(1)); !errors.Is(err, phiopenssl.ErrServerClosed) {
-		t.Fatalf("Submit after Close: %v", err)
+	if _, err := srv.SubmitWork(context.Background(), work, one, phiopenssl.SubmitOpts{}); !errors.Is(err, phiopenssl.ErrServerClosed) {
+		t.Fatalf("SubmitWork after Close: %v", err)
 	}
 
 	st := srv.Stats()
@@ -139,6 +141,7 @@ func TestFacadeBatchServerResilience(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv.Start(context.Background())
+	work := phiopenssl.RSAPrivateWorkload(key)
 
 	const n = 8
 	msgs := make([]phiopenssl.Nat, n)
@@ -149,7 +152,7 @@ func TestFacadeBatchServerResilience(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ch, err := srv.Submit(context.Background(), key, c)
+		ch, err := srv.SubmitWork(context.Background(), work, phiopenssl.WorkloadInput{A: c}, phiopenssl.SubmitOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,11 +10,13 @@ import (
 // Telemetry bundles the two observability sinks a BatchServer can emit
 // into: a lock-free metrics registry (counters, gauges, log-bucketed
 // histograms with Prometheus-text and JSON exposition) and an optional
-// per-request trace recorder producing Chrome trace-event JSON viewable
-// in Perfetto. Pass one in BatchServerConfig.Telemetry to share a
-// registry across servers or to enable tracing; a server built without
-// one still keeps full metrics on a private registry, reachable through
-// BatchServer.Telemetry().
+// trace recorder producing Chrome trace-event JSON viewable in Perfetto:
+// kernel passes and their segments on worker tracks, faults and breaker
+// transitions as instants, and — from a JourneyRecorder built on the same
+// bundle — one async span per kept request journey. Pass one in
+// BatchServerConfig.Telemetry to share a registry across servers or to
+// enable tracing; a server built without one still keeps full metrics on
+// a private registry, reachable through BatchServer.Telemetry().
 type Telemetry = telemetry.Telemetry
 
 // TelemetryRegistry is the metrics half of a Telemetry bundle.

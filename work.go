@@ -10,9 +10,9 @@ import (
 // identity and execution strategy one batching pipeline serves. Requests
 // carrying the same Workload instance fill the same sixteen-lane batch;
 // the batch executes as one kernel-pass family. BatchServer, Fleet and
-// AdmissionController all accept any Workload via their SubmitWork/DoWork
-// methods — the Submit/Do calls are the rsa-priv special case. See
-// internal/phiwork and experiment A11.
+// AdmissionController all accept any Workload via SubmitWork/DoWork, their
+// one submission path; RSAPrivateWorkload(key) is the classic decryption
+// traffic. See internal/phiwork and experiment A11.
 type Workload = phiwork.Workload
 
 // WorkloadInput is one lane's payload; its meaning is workload-specific
