@@ -9,7 +9,7 @@ FUZZTIME ?= 10s
 
 PHIVET = bin/phivet
 
-.PHONY: all build test check phivet fmt-check fuzz-smoke race faults telemetry backends fleet overload observe workloads bench quick loc clean
+.PHONY: all build test check phivet fmt-check fuzz-smoke bench-smoke race faults telemetry backends fleet overload observe workloads bench quick loc clean
 
 all: check
 
@@ -55,6 +55,13 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDivMod$$' -fuzztime $(FUZZTIME) ./internal/bn
 	$(GO) test -run '^$$' -fuzz '^FuzzMul$$' -fuzztime $(FUZZTIME) ./internal/bn
 	$(GO) test -run '^$$' -fuzz '^FuzzModExp$$' -fuzztime $(FUZZTIME) ./internal/bn
+
+# bench-smoke runs each direct-backend kernel benchmark once, the cells
+# BENCH_backend.json is recorded from: go test ./... never runs
+# benchmarks, so without it they could stop building or running
+# unnoticed. One iteration per cell is a smoke check, not a measurement.
+bench-smoke:
+	$(GO) test ./internal/rsakit -run '^$$' -bench 'OpBatch/direct' -benchtime 1x
 
 # race hammers the concurrent packages (the worker pool and the streaming
 # batch scheduler) with repeated runs and a short timeout, the

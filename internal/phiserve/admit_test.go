@@ -173,3 +173,40 @@ func TestOverflowCapSheds(t *testing.T) {
 		t.Fatalf("drain accounting wrong: %+v", st)
 	}
 }
+
+// TestEstimatedDelayMeasuredWait pins the door estimate's measured term:
+// a cold server still returns the fill deadline; a long measured wait
+// raises the estimate above the queue model; and the measured term
+// expires once its last observation is older than the wait it measured,
+// leaving the model.
+func TestEstimatedDelayMeasuredWait(t *testing.T) {
+	const fill = 2 * time.Millisecond
+	s, err := New(Config{Workers: 2, FillDeadline: fill})
+	if err != nil {
+		t.Fatal(err)
+	}
+	near := func(got, want time.Duration) bool {
+		d := got - want
+		return d > -time.Microsecond && d < time.Microsecond
+	}
+	now := time.Now()
+	if got := s.estimatedDelayAt(now); got != fill {
+		t.Fatalf("cold server estimate %v, want the fill deadline %v", got, fill)
+	}
+	// A wait observed at a pass start does not warm the server: only a
+	// completed pass does.
+	s.observeWait(500*time.Millisecond, now)
+	if got := s.estimatedDelayAt(now); got != fill {
+		t.Fatalf("estimate %v before any pass completed, want the fill deadline %v", got, fill)
+	}
+
+	// Empty queues and a 10 ms pass: the model says fill + one pass.
+	s.observePass(10 * time.Millisecond)
+	model := fill + 10*time.Millisecond
+	if got := s.estimatedDelayAt(now.Add(100 * time.Millisecond)); !near(got, 510*time.Millisecond) {
+		t.Fatalf("estimate %v with a fresh 500ms measured wait, want wait + pass = 510ms (model %v)", got, model)
+	}
+	if got := s.estimatedDelayAt(now.Add(501 * time.Millisecond)); !near(got, model) {
+		t.Fatalf("estimate %v once the 500ms wait is 501ms old, want the model %v", got, model)
+	}
+}

@@ -332,6 +332,12 @@ type Server struct {
 	// pass completes. Light passes are excluded — they are an order of
 	// magnitude cheaper and would drag the heavy sojourn estimate down.
 	passWall atomic.Uint64
+	// waitEWMA is the EWMA of the oldest lane's submit-to-pass-start wait
+	// at each heavy pass (float64 seconds bits), and waitAt the host time
+	// (UnixNano) of its last observation: the measured half of
+	// EstimatedDelay.
+	waitEWMA atomic.Uint64
+	waitAt   atomic.Int64
 
 	mu       sync.Mutex
 	started  bool
@@ -478,13 +484,20 @@ func JourneyOutcome(err error) phitrace.Outcome {
 
 // finish resolves a request exactly once: with stalled-batch respawns and
 // retried passes, more than one execution path can race to answer the
-// same request, and only the first wins (reported by the return). As the
-// single resolution point it also owns completion accounting — the
-// completed/failed counters (total and per-workload), the wall-latency
-// histogram, and the terminal of the request's journey.
-func (s *Server) finish(q *request, res Result) bool {
+// same request, and only the first wins. As the single resolution point
+// it also owns per-request accounting, all of it done before the result
+// is sent, so a caller reading Stats on receipt sees its own request
+// counted: the completed/failed counters (total and per-workload), the
+// wall- and sim-latency histograms, the fallback counters of a
+// scalar-served result, the checkpoint counter (canceled, expired or
+// shed lanes; nil for none) of the winning resolution, and the terminal
+// of the request's journey.
+func (s *Server) finish(q *request, res Result, checkpoint *telemetry.Counter) {
 	if !q.done.CompareAndSwap(false, true) {
-		return false
+		return
+	}
+	if checkpoint != nil {
+		checkpoint.Inc()
 	}
 	if res.Err != nil {
 		s.stats.failed.Inc()
@@ -492,6 +505,11 @@ func (s *Server) finish(q *request, res Result) bool {
 		s.stats.completed.Inc()
 		s.stats.workload(q.work.Kind()).completed.Inc()
 		s.stats.wallLatency.Observe(time.Since(q.at).Seconds())
+		s.stats.simLatency.Observe(res.SimLatency)
+		if res.Fallback {
+			s.stats.fallbackOps.Inc()
+			s.stats.fallbackCycles.Add(res.BatchCycles)
+		}
 		// Successful work funds future fault recovery (see RetryBudget).
 		s.cfg.Resilience.Budget.Deposit(1)
 	}
@@ -505,7 +523,6 @@ func (s *Server) finish(q *request, res Result) bool {
 		q.journey.Finish(JourneyOutcome(res.Err), note)
 	}
 	q.resp <- res
-	return true
 }
 
 // dropDeadLanes filters a request slice down to the lanes still worth
@@ -524,14 +541,10 @@ func (s *Server) dropDeadLanes(reqs []*request, checkpoint string) []*request {
 		case q.done.Load():
 		case q.ctxDone():
 			q.journey.Event("checkpoint", s.cfg.Card, checkpoint)
-			if s.finish(q, Result{Err: ErrCanceled}) {
-				s.stats.canceledLanes.Inc()
-			}
+			s.finish(q, Result{Err: ErrCanceled}, s.stats.canceledLanes)
 		case q.expiredAt(now):
 			q.journey.Event("checkpoint", s.cfg.Card, checkpoint)
-			if s.finish(q, Result{Err: ErrDeadlineExceeded}) {
-				s.stats.expiredLanes.Inc()
-			}
+			s.finish(q, Result{Err: ErrDeadlineExceeded}, s.stats.expiredLanes)
 		default:
 			live = append(live, q)
 		}
@@ -576,40 +589,65 @@ func (s *Server) observeDequeue(slot int, b *batch) {
 // a load or key-size shift.
 const ewmaAlpha = 0.25
 
-// observePass folds one heavy kernel pass's host wall time into the
-// rolling per-batch service-time estimate behind EstimatedDelay.
-func (s *Server) observePass(d time.Duration) {
-	sec := d.Seconds()
+// foldEWMA folds one sample (seconds) into the EWMA held in v as float64
+// bits; the first sample seeds it.
+func foldEWMA(v *atomic.Uint64, sample float64) {
 	for {
-		old := s.passWall.Load()
+		old := v.Load()
 		prev := math.Float64frombits(old)
-		next := sec
+		next := sample
 		if prev > 0 {
-			next = ewmaAlpha*sec + (1-ewmaAlpha)*prev
+			next = ewmaAlpha*sample + (1-ewmaAlpha)*prev
 		}
-		if s.passWall.CompareAndSwap(old, math.Float64bits(next)) {
+		if v.CompareAndSwap(old, math.Float64bits(next)) {
 			return
 		}
 	}
 }
 
+// observePass folds one heavy kernel pass's host wall time into the
+// rolling per-batch service-time estimate behind EstimatedDelay.
+func (s *Server) observePass(d time.Duration) { foldEWMA(&s.passWall, d.Seconds()) }
+
+// observeWait folds the wait of a heavy pass's oldest lane, from its
+// submission to the pass start at `at`, into the measured wait behind
+// EstimatedDelay.
+func (s *Server) observeWait(wait time.Duration, at time.Time) {
+	foldEWMA(&s.waitEWMA, wait.Seconds())
+	s.waitAt.Store(at.UnixNano())
+}
+
 // EstimatedDelay is the telemetry-derived sojourn estimate for a newly
-// admitted heavy-class request: the fill-deadline wait, plus the backlog
-// (dispatch queue + overflow lists) drained at one recent-mean pass per
-// worker, plus the request's own pass. The admission layer
-// (internal/phiadmit) sheds at the door when this exceeds a request's
-// remaining deadline budget, and the fleet router uses the per-card
-// values to route past a card whose backlog would blow the budget.
-// Before the first pass completes the estimate is just the fill deadline
-// — a cold server admits freely.
-func (s *Server) EstimatedDelay() time.Duration {
+// admitted heavy-class request, the larger of a model and a measurement.
+// The model is the fill-deadline wait, plus the backlog (dispatch queue +
+// overflow lists) drained at one recent-mean pass per worker, plus the
+// request's own pass. The measurement is how long recent heavy passes'
+// oldest lanes waited since submission, plus one pass: it sees the waits
+// the model misses — at intake backpressure, in open batches, behind
+// retries and the scalar fallback. It counts only while its last
+// observation is no older than the wait it measured, so once passes stop
+// reporting long waits the estimate falls back to the model by itself.
+// The admission layer (internal/phiadmit) sheds at the door when this
+// exceeds a request's remaining deadline budget, and the fleet router
+// uses the per-card values to route past a card whose backlog would blow
+// the budget. Before the first pass completes the estimate is just the
+// fill deadline — a cold server admits freely.
+func (s *Server) EstimatedDelay() time.Duration { return s.estimatedDelayAt(time.Now()) }
+
+// estimatedDelayAt is EstimatedDelay judged at host time now.
+func (s *Server) estimatedDelayAt(now time.Time) time.Duration {
 	pass := math.Float64frombits(s.passWall.Load())
 	if pass <= 0 {
 		return s.cfg.FillDeadline
 	}
 	backlog := float64(s.pool.QueueDepth()) + s.stats.overflowDepth.Value()
 	sojourn := (backlog/float64(s.cfg.Workers) + 1) * pass
-	return s.cfg.FillDeadline + time.Duration(sojourn*float64(time.Second))
+	est := s.cfg.FillDeadline + time.Duration(sojourn*float64(time.Second))
+	wait := math.Float64frombits(s.waitEWMA.Load())
+	if age := now.Sub(time.Unix(0, s.waitAt.Load())); age.Seconds() <= wait {
+		est = max(est, time.Duration((wait+pass)*float64(time.Second)))
+	}
+	return est
 }
 
 // ctl is the trace track for the scheduler goroutine, breaker transitions
@@ -833,10 +871,10 @@ func (s *Server) Close() {
 	// After cancellation the scheduler exits without draining the intake
 	// buffers; resolve whatever it left behind.
 	for req := range s.intake {
-		s.finish(req, Result{Err: ErrCanceled})
+		s.finish(req, Result{Err: ErrCanceled}, nil)
 	}
 	for req := range s.intakeLight {
-		s.finish(req, Result{Err: ErrCanceled})
+		s.finish(req, Result{Err: ErrCanceled}, nil)
 	}
 	s.pool.Close()
 	s.cancel()
@@ -907,9 +945,7 @@ func (s *Server) schedule() {
 			// batches keep their FIFO position — they are closest to their
 			// deadlines.
 			for _, r := range b.reqs {
-				if s.finish(r, Result{Err: ErrOverloaded}) {
-					s.stats.overflowDropped.Inc()
-				}
+				s.finish(r, Result{Err: ErrOverloaded}, s.stats.overflowDropped)
 			}
 			return
 		}
@@ -968,7 +1004,7 @@ func (s *Server) schedule() {
 		for w, p := range open {
 			p.timer.Stop()
 			for _, r := range p.reqs {
-				s.finish(r, Result{Err: ErrCanceled})
+				s.finish(r, Result{Err: ErrCanceled}, nil)
 			}
 			s.stats.pendingLanes.Add(float64(-len(p.reqs)))
 			delete(open, w)
@@ -976,7 +1012,7 @@ func (s *Server) schedule() {
 		for cls := range overflow {
 			for _, b := range overflow[cls] {
 				for _, r := range b.reqs {
-					s.finish(r, Result{Err: ErrCanceled})
+					s.finish(r, Result{Err: ErrCanceled}, nil)
 				}
 			}
 			overflow[cls] = nil
@@ -1094,7 +1130,7 @@ func (s *Server) submitBatch(b *batch) {
 			err = ErrCanceled
 		}
 		for _, r := range b.reqs {
-			s.finish(r, Result{Err: err})
+			s.finish(r, Result{Err: err}, nil)
 		}
 	}
 }
@@ -1116,7 +1152,7 @@ func (s *Server) armDeadline(w phiwork.Workload, gen uint64) *time.Timer {
 // cancellation.
 func (s *Server) rejectBatch(b *batch) {
 	for _, r := range b.reqs {
-		s.finish(r, Result{Err: ErrCanceled})
+		s.finish(r, Result{Err: ErrCanceled}, nil)
 	}
 }
 

@@ -214,7 +214,7 @@ func (s *Server) runBatch(w *worker, b *batch) {
 				s.runScalarOn(w.scalarEngine(), pending, attempt+1, w.tid())
 			} else {
 				for _, q := range pending {
-					s.finish(q, Result{Err: ErrCanceled})
+					s.finish(q, Result{Err: ErrCanceled}, nil)
 				}
 			}
 			return
@@ -236,10 +236,19 @@ func (s *Server) runBatch(w *worker, b *batch) {
 				ins[i] = q.in
 			}
 			passStart := time.Now()
+			if b.work.Class() == phiwork.ClassHeavy {
+				oldest := pending[0].at
+				for _, q := range pending[1:] {
+					if q.at.Before(oldest) {
+						oldest = q.at
+					}
+				}
+				s.observeWait(passStart.Sub(oldest), passStart)
+			}
 			out, laneErrs, bd, err := b.work.ExecuteBatch(w.backend, ins)
 			if err != nil {
 				for _, q := range pending {
-					s.finish(q, Result{Err: err})
+					s.finish(q, Result{Err: err}, nil)
 				}
 				s.breaker.record(true, probe)
 				return
@@ -249,32 +258,34 @@ func (s *Server) runBatch(w *worker, b *batch) {
 			phases := knc.KNCVectorCosts.PhaseBreakdown(bd.Phases)
 			w.meter.ChargeVectorPhases(bd.Phases)
 			simLat := s.cfg.Machine.Latency(s.cfg.Workers, cycles)
-			served := 0
-			transient := 0
 			for i, q := range pending {
-				if laneErrs[i] != nil {
-					if phiwork.Transient(laneErrs[i]) {
-						// A detected computational fault: the lane is a retry
-						// candidate on a fresh pass.
-						faulted = append(faulted, q)
-						transient++
-						continue
-					}
+				if laneErrs[i] != nil && phiwork.Transient(laneErrs[i]) {
+					// A detected computational fault: the lane is a retry
+					// candidate on a fresh pass.
+					faulted = append(faulted, q)
+				}
+			}
+			transient := len(faulted)
+			// Record the pass before delivering its lanes, so a caller
+			// reading Stats on its result sees the pass that served it.
+			s.stats.recordBatch(b.work.Kind(), fill, cycles, phases)
+			s.stats.faultsDetected.Add(int64(transient))
+			for i, q := range pending {
+				switch {
+				case laneErrs[i] == nil:
+					s.finish(q, Result{
+						M:           out[i],
+						BatchFill:   fill,
+						BatchCycles: cycles,
+						SimLatency:  simLat,
+						Attempts:    attempt,
+					}, nil)
+				case !phiwork.Transient(laneErrs[i]):
 					// A permanent per-lane error (e.g. a degenerate DHE
 					// shared secret): retrying cannot fix the input, and the
 					// hardware did nothing wrong, so it resolves now without
 					// feeding the breaker or the retry machinery.
-					s.finish(q, Result{Err: laneErrs[i], BatchFill: fill, Attempts: attempt})
-					continue
-				}
-				if s.finish(q, Result{
-					M:           out[i],
-					BatchFill:   fill,
-					BatchCycles: cycles,
-					SimLatency:  simLat,
-					Attempts:    attempt,
-				}) {
-					served++
+					s.finish(q, Result{Err: laneErrs[i], BatchFill: fill, Attempts: attempt}, nil)
 				}
 			}
 			passWall := time.Since(passStart)
@@ -292,8 +303,6 @@ func (s *Server) runBatch(w *worker, b *batch) {
 			if b.work.Class() == phiwork.ClassHeavy {
 				s.observePass(passWall)
 			}
-			s.stats.recordBatch(b.work.Kind(), fill, served, cycles, simLat, phases)
-			s.stats.faultsDetected.Add(int64(transient))
 			s.tracePass(w, b, passStart, bd, fill, attempt, cycles, phases, transient)
 			s.breaker.record(transient > 0, probe)
 		}
@@ -338,7 +347,7 @@ func (s *Server) runBatch(w *worker, b *batch) {
 			telemetry.Args{"lanes": len(faulted), "attempt": attempt})
 		if !s.backoff(w, attempt) {
 			for _, q := range faulted {
-				s.finish(q, Result{Err: ErrCanceled})
+				s.finish(q, Result{Err: ErrCanceled}, nil)
 			}
 			return
 		}
@@ -441,16 +450,12 @@ func (s *Server) runScalarOn(eng engine.Engine, reqs []*request, attempts int, t
 		// costing cycles immediately.
 		if q.ctxDone() {
 			q.journey.Event("checkpoint", s.cfg.Card, "scalar")
-			if s.finish(q, Result{Err: ErrCanceled}) {
-				s.stats.canceledLanes.Inc()
-			}
+			s.finish(q, Result{Err: ErrCanceled}, s.stats.canceledLanes)
 			continue
 		}
 		if q.expiredAt(time.Now()) {
 			q.journey.Event("checkpoint", s.cfg.Card, "scalar")
-			if s.finish(q, Result{Err: ErrDeadlineExceeded}) {
-				s.stats.expiredLanes.Inc()
-			}
+			s.finish(q, Result{Err: ErrDeadlineExceeded}, s.stats.expiredLanes)
 			continue
 		}
 		q.journey.Event("fallback", s.cfg.Card, "attempt="+fmt.Sprint(attempts))
@@ -462,19 +467,17 @@ func (s *Server) runScalarOn(eng engine.Engine, reqs []*request, attempts int, t
 		s.tracer.Slice(tid, "fallback-op", opStart, time.Since(opStart),
 			telemetry.Args{"journey": q.journey.ID(), "sim_cycles": cycles, "attempt": attempts})
 		if err != nil {
-			s.finish(q, Result{Err: err, Fallback: true, Attempts: attempts})
+			s.finish(q, Result{Err: err, Fallback: true, Attempts: attempts}, nil)
 			continue
 		}
-		if s.finish(q, Result{
+		s.finish(q, Result{
 			M:           m,
 			BatchFill:   1,
 			BatchCycles: cycles,
 			SimLatency:  simLat,
 			Fallback:    true,
 			Attempts:    attempts,
-		}) {
-			s.stats.recordFallback(cycles, simLat)
-		}
+		}, nil)
 	}
 }
 

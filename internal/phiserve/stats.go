@@ -317,29 +317,19 @@ func newStatsAcc(reg *telemetry.Registry, labels []string) *statsAcc {
 	return a
 }
 
-// recordBatch accounts one executed kernel pass: fill live lanes packed,
-// of which `served` resolved their request here (faulted lanes and lanes
-// whose request a racing path already answered are excluded), with the
-// pass's per-phase cycle attribution. Completion counting itself lives in
-// Server.finish, the single resolution point.
-func (a *statsAcc) recordBatch(kind phiwork.Kind, fill, served int, cycles, simLat float64, phases knc.PhaseCycles) {
+// recordBatch accounts one executed kernel pass of fill live lanes, with
+// the pass's per-phase cycle attribution. Per-request accounting (sim
+// latency included) lives in Server.finish, the single resolution point.
+func (a *statsAcc) recordBatch(kind phiwork.Kind, fill int, cycles float64, phases knc.PhaseCycles) {
 	a.batches.Inc()
 	a.workload(kind).batches.Inc()
 	a.fill.Observe(float64(fill))
 	a.cycles.Add(cycles)
-	a.simLatency.ObserveN(simLat, int64(served))
 	for p := 0; p < vbatch.NumPhases; p++ {
 		if phases[p] != 0 {
 			a.phaseCycles[p].Add(phases[p])
 		}
 	}
-}
-
-// recordFallback accounts one request served by the scalar path.
-func (a *statsAcc) recordFallback(cycles, simLat float64) {
-	a.fallbackOps.Inc()
-	a.fallbackCycles.Add(cycles)
-	a.simLatency.Observe(simLat)
 }
 
 // snapshot assembles a Stats view from the registry. Individual reads are

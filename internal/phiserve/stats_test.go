@@ -31,10 +31,10 @@ func TestStatsSnapshotZeroCompleted(t *testing.T) {
 	check(a.snapshot(Config{}, 0, 0, 0, breakerClosed, 0))
 
 	// Work happened but nothing completed: submissions all failed, and a
-	// pass executed whose lanes were all answered elsewhere (served == 0).
+	// pass executed whose lanes were all answered elsewhere.
 	a.submitted.Add(3)
 	a.failed.Add(3)
-	a.recordBatch(phiwork.KindRSAPrivate, 3, 0, 5000, 0.25, knc.PhaseCycles{})
+	a.recordBatch(phiwork.KindRSAPrivate, 3, 5000, knc.PhaseCycles{})
 	st := a.snapshot(Config{}, 0, 0, 0, breakerClosed, 0)
 	check(st)
 	if st.Batches != 1 || st.MeanFill != 3 {

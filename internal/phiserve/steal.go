@@ -135,17 +135,13 @@ func (s *Server) Adopt(ops []StolenOp) int {
 		// lane resolves here and counts as taken, so neither card runs it.
 		if o.q.ctxDone() {
 			o.q.journey.Event("checkpoint", s.cfg.Card, "adopt")
-			if s.finish(o.q, Result{Err: ErrCanceled}) {
-				s.stats.canceledLanes.Inc()
-			}
+			s.finish(o.q, Result{Err: ErrCanceled}, s.stats.canceledLanes)
 			n++
 			continue
 		}
 		if o.q.expiredAt(now) {
 			o.q.journey.Event("checkpoint", s.cfg.Card, "adopt")
-			if s.finish(o.q, Result{Err: ErrDeadlineExceeded}) {
-				s.stats.expiredLanes.Inc()
-			}
+			s.finish(o.q, Result{Err: ErrDeadlineExceeded}, s.stats.expiredLanes)
 			n++
 			continue
 		}

@@ -133,23 +133,6 @@ func (j *Journey) ID() uint64 {
 	return j.id
 }
 
-// Tenant returns the tenant id the journey was begun with.
-func (j *Journey) Tenant() string {
-	if j == nil {
-		return ""
-	}
-	return j.tenant
-}
-
-// Workload returns the canonical workload kind the journey was begun
-// with.
-func (j *Journey) Workload() string {
-	if j == nil {
-		return ""
-	}
-	return j.workload
-}
-
 // Event appends a step stamped with the recorder's clock. Safe on nil.
 func (j *Journey) Event(kind string, card int, note string) {
 	j.EventDur(kind, card, note, 0)

@@ -250,14 +250,6 @@ func (r *Recorder) FastWindow() time.Duration {
 	return r.cfg.BurnWindows[0]
 }
 
-// SampleN returns the configured 1-in-N normal-completion sampling rate.
-func (r *Recorder) SampleN() int {
-	if r == nil {
-		return 0
-	}
-	return r.cfg.SampleN
-}
-
 // BeginWork starts a journey tagged with its canonical workload kind
 // (the phiwork.Kind vocabulary: "rsa-priv", "dhe-fixed", "dhe-var",
 // "pss-sign", "public"); the tag rides into the /journeys view and

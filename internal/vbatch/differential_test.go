@@ -1,6 +1,7 @@
 package vbatch
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -71,12 +72,13 @@ func diffCheckFill(t *testing.T, name string, sim, direct Kernels, fill int,
 }
 
 // TestBackendDifferentialSizes drives random batches at the RSA-relevant
-// widths through both backends at every fill: MontMul, shared-exponent
-// and per-lane exponentiation must agree bit for bit in results, counts
-// and phases.
+// widths, and at odd limb counts (k = 3, 17, 33), through both backends
+// at every fill: MontMul, shared-exponent and per-lane exponentiation
+// must agree bit for bit in results, counts and phases. An odd k is the
+// only width whose direct multiply ends on a half-word step.
 func TestBackendDifferentialSizes(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	for _, bits := range []int{512, 1024, 2048} {
+	for _, bits := range []int{512, 1024, 2048, 96, 544, 1056} {
 		m := randOdd(rng, bits)
 		sim, direct := bothKernels(t, m)
 
@@ -143,6 +145,10 @@ func TestBackendDifferentialEdgeCases(t *testing.T) {
 func FuzzBackendDifferential(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, []byte{0x12, 0x34}, []byte{3}, int64(1))
 	f.Add([]byte{0x01, 0x00, 0x01}, []byte{0xff}, []byte{0x10, 0x01}, int64(2))
+	// Odd limb counts (k = 3 and k = 9): the direct multiply's half-word
+	// last step.
+	f.Add(bytes.Repeat([]byte{0xe5}, 12), []byte{0x7f, 0xff}, []byte{0xff, 0x81}, int64(3))
+	f.Add(append([]byte{0x80}, bytes.Repeat([]byte{0x3b}, 35)...), []byte{0x01}, []byte{0xa5, 0x5a, 0x01}, int64(15))
 	f.Fuzz(func(t *testing.T, mb, seedOp, eb []byte, seed int64) {
 		if len(mb) > 40 || len(eb) > 8 {
 			return // keep per-case cost bounded
@@ -167,4 +173,41 @@ func FuzzBackendDifferential(f *testing.F) {
 			return k.ModExpShared(a[:fill], exp)
 		})
 	})
+}
+
+// TestDirectAllocsIndependentOfExponent: a direct kernel call takes its
+// lane storage from one arena and multiplies in place, so its allocations
+// do not grow with the multiplies its exponent schedules.
+func TestDirectAllocsIndependentOfExponent(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	m := randOdd(rng, 1024)
+	k, err := NewKernels(m, vpu.NewDirect())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := randBatch(rng, m)
+	short, long := randOdd(rng, 64), randOdd(rng, 1024)
+	var shortExps, longExps [BatchSize]bn.Nat
+	for l := range shortExps {
+		shortExps[l], longExps[l] = randOdd(rng, 64), randOdd(rng, 1024)
+	}
+	for _, fill := range []int{1, BatchSize} {
+		for _, op := range []struct {
+			name        string
+			short, long func()
+		}{
+			{"ModExpShared",
+				func() { k.ModExpShared(a[:fill], short) },
+				func() { k.ModExpShared(a[:fill], long) }},
+			{"ModExpMulti",
+				func() { k.ModExpMulti(a[:fill], shortExps[:fill]) },
+				func() { k.ModExpMulti(a[:fill], longExps[:fill]) }},
+		} {
+			s, l := testing.AllocsPerRun(5, op.short), testing.AllocsPerRun(5, op.long)
+			if s != l {
+				t.Errorf("%s fill %d: %v allocations with a 64-bit exponent, %v with a 1024-bit one",
+					op.name, fill, s, l)
+			}
+		}
+	}
 }

@@ -2,6 +2,7 @@ package vbatch
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"phiopenssl/internal/bn"
@@ -9,13 +10,16 @@ import (
 )
 
 // Direct backend: the batch kernels with the instruction interpreter
-// removed. Each live lane's Montgomery arithmetic runs as plain
-// uint32/uint64 limb code (the scalar CIOS of internal/bn, once per live
-// lane; the dead lanes of a partial batch are never computed), and the
-// vpu.Direct meter is charged per kernel *event* — one packed gather
-// transpose, one Montgomery multiply, one window-table probe — with the
-// exact per-class, per-phase instruction deltas the interpreted kernels
-// would have issued for that event over all sixteen lanes.
+// removed. Each live lane's Montgomery arithmetic runs as host code on
+// 64-bit words (word-serial CIOS with math/bits, once per live lane; the
+// dead lanes of a partial batch are never computed), and the vpu.Direct
+// meter is charged per kernel *event* — one packed gather transpose, one
+// Montgomery multiply, one window-table probe — with the exact per-class,
+// per-phase instruction deltas the interpreted kernels would have issued
+// for that event over all sixteen 32-bit lanes. The host word size is
+// invisible outside this file: R stays 2^(32k) for the 32-bit limb count
+// k, so every Montgomery value equals the sim's, and the fault injector
+// still sees 32-bit limb vectors (see corrupt).
 //
 // The charging is exact, not approximate, because every vbatch kernel's
 // instruction count is a pure function of the limb width k: the CIOS
@@ -26,6 +30,10 @@ import (
 // per-k event costs are measured once against a scratch interpreted
 // context (calibrate) and cached for the process lifetime; the
 // differential and calibration tests pin the equality.
+//
+// Each kernel call takes all its lane storage — the operands, the window
+// table and the accumulator — from one allocation, and every event writes
+// its result in place.
 
 // calibration holds the per-event cost deltas for one limb width,
 // measured against the interpreted kernels.
@@ -96,14 +104,16 @@ func calibrate(k int) *calibration {
 // directCtx implements Kernels on a vpu.Direct meter.
 type directCtx struct {
 	modulus bn.Nat
-	k       int
-	n       []uint32 // modulus, exactly k limbs
-	n0      uint32   // -n^-1 mod 2^32
-	rr      []uint32 // R^2 mod n, k limbs
-	one     []uint32 // the value 1, k limbs
+	k       int      // 32-bit limb count, the sim's lane width
+	n       []uint64 // modulus, ⌈k/2⌉ words
+	n0      uint64   // -n^-1 mod 2^64
+	topMask uint64   // the top word's bits below 2^(32k)
 	d       *vpu.Direct
 	cal     *calibration
-	z       []uint32 // montMul scratch, 2k limbs
+	t       []uint64 // montMul accumulator, ⌈k/2⌉ words
+	limbs   []uint32 // unpack buffer, k limbs
+	vec     vpu.Vec  // corrupt's limb vector, handed to the injector
+	rr, one dBatch   // R^2 mod n and 1 in every lane, R = 2^(32k)
 	live    int      // lanes the current kernel call computes, 1..BatchSize
 }
 
@@ -119,20 +129,49 @@ func newDirectCtx(m bn.Nat, d *vpu.Direct) (*directCtx, error) {
 		return nil, fmt.Errorf("vbatch: modulus must be odd, got %s", m)
 	}
 	k := m.LimbLen()
+	words := (k + 1) / 2
 	c := &directCtx{
 		modulus: m,
 		k:       k,
-		n:       m.LimbsPadded(k),
-		n0:      negInv32(m.Limbs()[0]),
-		rr:      bn.One().Shl(uint(64 * k)).Mod(m).LimbsPadded(k),
-		one:     make([]uint32, k),
+		n:       make([]uint64, words),
+		topMask: ^uint64(0),
 		d:       d,
 		cal:     calibrate(k),
-		z:       make([]uint32, 2*k),
+		t:       make([]uint64, words),
+		limbs:   make([]uint32, k),
 	}
-	c.one[0] = 1
+	if k%2 == 1 {
+		c.topMask = 0xffffffff
+	}
+	natWords(c.n, m)
+	c.n0 = -invWord(c.n[0])
+	rr := make([]uint64, words)
+	natWords(rr, bn.One().Shl(uint(64*k)).Mod(m))
+	one := make([]uint64, words)
+	one[0] = 1
+	for l := range c.rr {
+		c.rr[l], c.one[l] = rr, one // lanes alias: kernel inputs are read-only
+	}
 	c.d.Charge(c.cal.init)
 	return c, nil
+}
+
+// invWord returns v^-1 mod 2^64 for odd v by Newton iteration: v is its
+// own inverse mod 2^3, and each step doubles the correct low bits.
+func invWord(v uint64) uint64 {
+	inv := v
+	for i := 0; i < 5; i++ {
+		inv *= 2 - v*inv
+	}
+	return inv
+}
+
+// natWords writes x into w as little-endian 64-bit words, zero-padded; x
+// must fit.
+func natWords(w []uint64, x bn.Nat) {
+	for i := range w {
+		w[i] = uint64(x.Bits(64*i, 32)) | uint64(x.Bits(64*i+32, 32))<<32
+	}
 }
 
 // K implements Kernels.
@@ -151,111 +190,124 @@ func (c *directCtx) begin(live int) {
 	c.live = live
 }
 
-// dBatch is sixteen k-limb values, one slice per lane; only the first
-// c.live lanes are computed (kernel outputs leave the dead lanes nil).
-// Lanes may alias (broadcast constants, table-selected entries): kernel
-// events never mutate their inputs, only freshly allocated outputs.
-type dBatch [BatchSize][]uint32
+// dBatch is sixteen values of ⌈k/2⌉ 64-bit words, one slice per lane;
+// only the first c.live lanes are computed. Every lane value stays below
+// 2^(32k), so the top half of an odd k's last word is always zero.
+type dBatch [BatchSize][]uint64
+
+// arena carves the live lanes of every batch in bs out of one allocation.
+func (c *directCtx) arena(bs []dBatch) {
+	words := len(c.n)
+	mem := make([]uint64, len(bs)*c.live*words)
+	for i := range bs {
+		for l := 0; l < c.live; l++ {
+			bs[i][l], mem = mem[:words:words], mem[words:]
+		}
+	}
+}
+
+// copyLanes copies the live lanes of src into dst's own storage.
+func (c *directCtx) copyLanes(dst, src *dBatch) {
+	for l := 0; l < c.live; l++ {
+		copy(dst[l], src[l])
+	}
+}
 
 // corrupt exposes the attached Corruptor at a kernel phase boundary: limb
-// j of all sixteen lanes is assembled into one vpu.Vec — exactly the
-// lane-transposed register the interpreted kernel holds at that point —
-// passed through the injector, and the live lanes are written back. Dead
-// lanes read as zero and are never written back, so a flip that lands on
-// one is dropped, as the sim's padding-lane result is; the injector still
-// sees one full vector per limb per event, so corruption-point counts and
-// its RNG draws do not depend on the fill. Corruption opportunities are
-// per limb-vector per event here, not per instruction as on the sim, so
-// per-instruction fault rates translate differently (convert per-pass
-// rates with a counting Corruptor, as the fault tests do); detection via
-// the Bellcore check is identical.
+// j of all sixteen lanes — one half of word j/2 — is assembled into one
+// vpu.Vec, exactly the lane-transposed register the interpreted kernel
+// holds at that point, passed through the injector, and the live lanes
+// are written back. Dead lanes read as zero and are never written back,
+// so a flip that lands on one is dropped, as the sim's padding-lane
+// result is; the injector still sees one full vector per limb per event,
+// so corruption-point counts and its RNG draws do not depend on the fill.
+// Corruption opportunities are per limb-vector per event here, not per
+// instruction as on the sim, so per-instruction fault rates translate
+// differently (convert per-pass rates with a counting Corruptor, as the
+// fault tests do); detection via the Bellcore check is identical.
 func (c *directCtx) corrupt(b *dBatch) {
 	fault := c.d.Fault()
 	if fault == nil {
 		return
 	}
+	v := &c.vec
 	for j := 0; j < c.k; j++ {
-		var v vpu.Vec
+		i, sh := j/2, uint(32*(j%2))
+		*v = vpu.Vec{}
 		for l := 0; l < c.live; l++ {
-			v[l] = b[l][j]
+			v[l] = uint32(b[l][i] >> sh)
 		}
-		fault.CorruptVec(&v)
+		fault.CorruptVec(v)
 		for l := 0; l < c.live; l++ {
-			b[l][j] = v[l]
+			b[l][i] = b[l][i]&^(0xffffffff<<sh) | uint64(v[l])<<sh
 		}
 	}
 }
 
-// alloc carves the live lanes' k-limb slices out of one backing array.
-func (c *directCtx) alloc() dBatch {
-	flat := make([]uint32, c.live*c.k)
-	var out dBatch
-	for l := 0; l < c.live; l++ {
-		out[l] = flat[l*c.k : (l+1)*c.k : (l+1)*c.k]
-	}
-	return out
-}
-
-// pack mirrors Ctx.Pack: transpose the live reduced values into lane
-// slices, charging one full gather transpose.
-func (c *directCtx) pack(vals []bn.Nat) dBatch {
-	out := c.alloc()
+// pack mirrors Ctx.Pack: write the live reduced values into dst's lanes,
+// charging one full gather transpose.
+func (c *directCtx) pack(dst *dBatch, vals []bn.Nat) {
 	for l, v := range vals {
 		if v.Cmp(c.modulus) >= 0 {
 			panic("vbatch: Pack operand not reduced")
 		}
-		copy(out[l], v.LimbsPadded(c.k))
+		natWords(dst[l], v)
 	}
 	c.d.ChargeAt(PhasePack, c.cal.pack)
-	c.corrupt(&out)
-	return out
+	c.corrupt(dst)
 }
 
 // unpack mirrors Ctx.Unpack: one scatter transpose, then the live lanes'
 // values.
-func (c *directCtx) unpack(b dBatch) []bn.Nat {
+func (c *directCtx) unpack(b *dBatch) []bn.Nat {
 	c.d.ChargeAt(PhasePack, c.cal.unpack)
-	c.corrupt(&b)
+	c.corrupt(b)
 	out := make([]bn.Nat, c.live)
 	for l := range out {
-		out[l] = bn.FromLimbs(b[l])
+		for j := range c.limbs {
+			c.limbs[j] = uint32(b[l][j/2] >> (32 * (j % 2)))
+		}
+		out[l] = bn.FromLimbs(c.limbs)
 	}
 	return out
 }
 
-// mul is one Montgomery-multiply event: one scalar CIOS pass per live
-// lane plus the calibrated charge of the full vectorized multiply.
-func (c *directCtx) mul(a, b dBatch) dBatch {
-	out := c.alloc()
+// mul is one Montgomery-multiply event: dst = a*b*R^-1 in every live lane
+// (dst may alias a or b), plus the calibrated charge of the full
+// vectorized multiply.
+func (c *directCtx) mul(dst, a, b *dBatch) {
 	for l := 0; l < c.live; l++ {
-		c.montMul(out[l], a[l], b[l])
+		c.montMul(dst[l], a[l], b[l])
 	}
 	c.d.ChargePhases(c.cal.mul)
-	c.corrupt(&out)
-	return out
+	c.corrupt(dst)
 }
-
-// splat returns the batch with the same limbs in every lane (the inputs
-// of ToMont/FromMont); lanes alias one slice, which is safe because
-// kernel events never mutate inputs.
-func splat(limbs []uint32) dBatch {
-	var out dBatch
-	for l := range out {
-		out[l] = limbs
-	}
-	return out
-}
-
-func (c *directCtx) toMont(a dBatch) dBatch   { return c.mul(a, splat(c.rr)) }
-func (c *directCtx) fromMont(a dBatch) dBatch { return c.mul(a, splat(c.one)) }
-func (c *directCtx) montOne() dBatch          { return c.mul(splat(c.rr), splat(c.one)) }
 
 // MontMul implements Kernels: pack both operands, multiply, unpack — the
 // same event sequence as Ctx.MontMul.
 func (c *directCtx) MontMul(a, b []bn.Nat) []bn.Nat {
 	mustPair(a, b)
 	c.begin(len(a))
-	return c.unpack(c.mul(c.pack(a), c.pack(b)))
+	var bs [2]dBatch
+	c.arena(bs[:])
+	x, y := &bs[0], &bs[1]
+	c.pack(x, a)
+	c.pack(y, b)
+	c.mul(x, x, y)
+	return c.unpack(x)
+}
+
+// buildTable fills table[i] with the Montgomery form of x^i for the live
+// bases x, in the sim's event order: pack, ToMont, One, then one multiply
+// per further entry.
+func (c *directCtx) buildTable(table []dBatch, bases []bn.Nat) {
+	xm := &table[1]
+	c.pack(xm, reduce(bases, c.modulus))
+	c.mul(xm, xm, &c.rr)
+	c.mul(&table[0], &c.rr, &c.one)
+	for i := 2; i < len(table); i++ {
+		c.mul(&table[i], &table[i-1], xm)
+	}
 }
 
 // ModExpShared implements Kernels, replaying Ctx.ModExpShared's event
@@ -266,27 +318,24 @@ func (c *directCtx) ModExpShared(bases []bn.Nat, exp bn.Nat) []bn.Nat {
 	if exp.IsZero() {
 		return ones(len(bases), c.modulus)
 	}
-	xm := c.toMont(c.pack(reduce(bases, c.modulus)))
-
 	const w = 5
-	table := make([]dBatch, 1<<w)
-	table[0] = c.montOne()
-	table[1] = xm
-	for i := 2; i < len(table); i++ {
-		table[i] = c.mul(table[i-1], xm)
-	}
+	var bs [1<<w + 1]dBatch
+	c.arena(bs[:])
+	table, acc := bs[:1<<w], &bs[1<<w]
+	c.buildTable(table, bases)
 
 	windows := (exp.BitLen() + w - 1) / w
-	acc := table[exp.Bits((windows-1)*w, w)]
+	c.copyLanes(acc, &table[exp.Bits((windows-1)*w, w)])
 	for wi := windows - 2; wi >= 0; wi-- {
 		for s := 0; s < w; s++ {
-			acc = c.mul(acc, acc)
+			c.mul(acc, acc, acc)
 		}
 		if d := exp.Bits(wi*w, w); d != 0 {
-			acc = c.mul(acc, table[d])
+			c.mul(acc, acc, &table[d])
 		}
 	}
-	return c.unpack(c.fromMont(acc))
+	c.mul(acc, acc, &c.one) // FromMont
+	return c.unpack(acc)
 }
 
 // ModExpMulti implements Kernels, replaying Ctx.ModExpMulti: the uniform
@@ -302,126 +351,108 @@ func (c *directCtx) ModExpMulti(bases, exps []bn.Nat) []bn.Nat {
 	if maxBits == 0 {
 		return ones(len(bases), c.modulus)
 	}
-	xm := c.toMont(c.pack(reduce(bases, c.modulus)))
-
 	const w = 4
-	table := make([]dBatch, 1<<w)
-	table[0] = c.montOne()
-	table[1] = xm
-	for i := 2; i < len(table); i++ {
-		table[i] = c.mul(table[i-1], xm)
-	}
+	var bs [1<<w + 1]dBatch
+	c.arena(bs[:])
+	table, acc := bs[:1<<w], &bs[1<<w]
+	c.buildTable(table, bases)
 
-	selectEntries := func(digits [BatchSize]uint32) dBatch {
-		var out dBatch
+	// selectEntries points each live lane of sel at table[digit] for
+	// window wi, charging the digit load and the masked scan.
+	var sel dBatch
+	selectEntries := func(wi int) {
+		c.d.ChargeAt(PhaseWindow, winDigitCost)
+		var digits [BatchSize]uint32
+		for l, e := range exps {
+			digits[l] = e.Bits(wi*w, w)
+		}
 		for e := range table {
 			c.d.ChargeAt(PhaseWindow, winProbeCost)
-			var mask vpu.Mask
+			matched := false
 			for l, dg := range digits[:c.live] {
 				if dg == uint32(e) {
-					mask |= 1 << l
+					sel[l] = table[e][l]
+					matched = true
 				}
 			}
-			if mask == 0 {
-				continue
-			}
-			c.d.ChargeAt(PhaseWindow, vpu.Counts{vpu.ClassALU: uint64(c.k)})
-			for l := 0; l < c.live; l++ {
-				if mask>>l&1 == 1 {
-					out[l] = table[e][l]
-				}
+			if matched {
+				c.d.ChargeAt(PhaseWindow, vpu.Counts{vpu.ClassALU: uint64(c.k)})
 			}
 		}
-		return out
-	}
-	digitsAt := func(wi int) [BatchSize]uint32 {
-		c.d.ChargeAt(PhaseWindow, winDigitCost)
-		var d [BatchSize]uint32
-		for l, e := range exps {
-			d[l] = e.Bits(wi*w, w)
-		}
-		return d
 	}
 
 	windows := (maxBits + w - 1) / w
-	acc := selectEntries(digitsAt(windows - 1))
+	selectEntries(windows - 1)
+	c.copyLanes(acc, &sel)
 	for wi := windows - 2; wi >= 0; wi-- {
 		for s := 0; s < w; s++ {
-			acc = c.mul(acc, acc)
+			c.mul(acc, acc, acc)
 		}
-		acc = c.mul(acc, selectEntries(digitsAt(wi)))
+		selectEntries(wi)
+		c.mul(acc, acc, &sel)
 	}
-	return c.unpack(c.fromMont(acc))
+	c.mul(acc, acc, &c.one) // FromMont
+	return c.unpack(acc)
 }
 
-// montMul writes a*b*R^-1 mod n into out (k limbs), the scalar CIOS of
-// internal/bn with the scratch buffer reused across calls. For reduced
-// inputs (< n) the result is fully reduced and bit-identical per lane to
-// the interpreted kernel; fault-corrupted out-of-range inputs stay
-// well-defined k-limb arithmetic whose garbage the Bellcore check catches.
-func (c *directCtx) montMul(out, a, b []uint32) {
-	k := c.k
-	z := c.z
-	for i := range z {
-		z[i] = 0
-	}
-	var carry uint32
-	for i := 0; i < k; i++ {
-		c2 := addMulVVWDirect(z[i:k+i], a, b[i])
-		t := z[i] * c.n0
-		c3 := addMulVVWDirect(z[i:k+i], c.n, t)
-		cx := carry + c2
-		cy := cx + c3
-		z[k+i] = cy
-		if cx < c2 || cy < c3 {
-			carry = 1
-		} else {
-			carry = 0
+// montMul writes a*b*R^-1 mod n into out, R = 2^(32k): word-serial CIOS on
+// 64-bit words, each step adding a*b[i] and q*n (the quotient q clears the
+// low word) and shifting one word out. When k is odd, b's top word holds
+// one 32-bit digit, and the last step multiplies by that digit and reduces
+// by a 32-bit quotient, shifting out 32 bits: it runs as an ordinary step
+// on t<<32 with digit and quotient scaled by 2^32. For reduced inputs the
+// result is fully reduced and bit-identical per lane to the interpreted
+// kernel; fault-corrupted out-of-range inputs stay well-defined arithmetic
+// below 2^(32k) whose garbage the Bellcore check catches. out may alias a
+// or b: it is written only after both are read.
+func (c *directCtx) montMul(out, a, b []uint64) {
+	n, t := c.n, c.t
+	last := len(t) - 1
+	n, a, b, out = n[:len(t)], a[:len(t)], b[:len(t)], out[:len(t)]
+	clear(t)
+	var top uint64 // t's bit 64*len(t), 0 or 1
+	for i, bi := range b {
+		if i == last && c.k%2 == 1 {
+			top = t[last] >> 32
+			for j := last; j > 0; j-- {
+				t[j] = t[j]<<32 | t[j-1]>>32
+			}
+			t[0] <<= 32
+			bi <<= 32
 		}
+		hi, lo := bits.Mul64(a[0], bi)
+		s, cc := bits.Add64(t[0], lo, 0)
+		c1 := hi + cc
+		q := s * c.n0
+		hi, lo = bits.Mul64(n[0], q)
+		_, cc = bits.Add64(s, lo, 0)
+		c2 := hi + cc
+		for j := 1; j < len(t); j++ {
+			hi, lo = bits.Mul64(a[j], bi)
+			s, cc = bits.Add64(t[j], lo, 0)
+			hi += cc
+			s, cc = bits.Add64(s, c1, 0)
+			c1 = hi + cc
+			hi, lo = bits.Mul64(n[j], q)
+			s, cc = bits.Add64(s, lo, 0)
+			hi += cc
+			s, cc = bits.Add64(s, c2, 0)
+			c2 = hi + cc
+			t[j-1] = s
+		}
+		s, cc = bits.Add64(top, c1, 0)
+		top = cc
+		t[last], cc = bits.Add64(s, c2, 0)
+		top += cc
 	}
-	if carry != 0 {
-		subVVDirect(out, z[k:], c.n)
-	} else {
-		copy(out, z[k:])
-	}
-	if cmpLimbsDirect(out, c.n) >= 0 {
-		subVVDirect(out, out, c.n)
-	}
-}
-
-// addMulVVWDirect computes z += x*y over equal-length slices, returning
-// the carry limb (the CIOS inner kernel, one lane's worth).
-func addMulVVWDirect(z, x []uint32, y uint32) uint32 {
-	var carry uint64
-	yv := uint64(y)
-	for i := range x {
-		p := yv*uint64(x[i]) + uint64(z[i]) + carry
-		z[i] = uint32(p)
-		carry = p >> 32
-	}
-	return uint32(carry)
-}
-
-// subVVDirect computes z = x - y over equal-length slices, discarding the
-// final borrow.
-func subVVDirect(z, x, y []uint32) {
+	// Subtract n unless that borrows out of top:t, selecting by mask.
 	var borrow uint64
-	for i := range z {
-		d := uint64(x[i]) - uint64(y[i]) - borrow
-		z[i] = uint32(d)
-		borrow = (d >> 32) & 1
+	for j := range out {
+		out[j], borrow = bits.Sub64(t[j], n[j], borrow)
 	}
-}
-
-// cmpLimbsDirect compares equal-length limb slices.
-func cmpLimbsDirect(a, b []uint32) int {
-	for i := len(a) - 1; i >= 0; i-- {
-		switch {
-		case a[i] < b[i]:
-			return -1
-		case a[i] > b[i]:
-			return 1
-		}
+	keep := -(borrow &^ top)
+	for j := range out {
+		out[j] ^= (out[j] ^ t[j]) & keep
 	}
-	return 0
+	out[last] &= c.topMask
 }

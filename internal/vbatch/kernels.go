@@ -19,9 +19,10 @@ import (
 //   - *Ctx (on a *vpu.Unit): the interpreted kernels above, executing and
 //     metering every vector instruction. It pads the dead lanes with the
 //     last live operand and runs the full 16-lane stream.
-//   - directCtx (on a *vpu.Direct): per-lane uint32 limb arithmetic on the
-//     live lanes only, replaying the same CIOS/fixed-window schedule event
-//     by event and charging each event's full-pass cost from a
+//   - directCtx (on a *vpu.Direct): per-lane arithmetic on 64-bit host
+//     words for the live lanes only, replaying the same CIOS/fixed-window
+//     schedule event by event (with R = 2^(32k), so every Montgomery value
+//     matches the sim's) and charging each event's full-pass cost from a
 //     per-limb-count calibration measured once against the sim (see
 //     direct.go). Its host time scales with the fill.
 type Kernels interface {
