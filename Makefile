@@ -9,7 +9,7 @@ FUZZTIME ?= 10s
 
 PHIVET = bin/phivet
 
-.PHONY: all build test check phivet fmt-check fuzz-smoke bench-smoke race faults telemetry backends fleet overload observe workloads bench quick loc clean
+.PHONY: all build test check phivet fmt-check fuzz-smoke bench-smoke race faults telemetry backends fleet overload observe workloads bench quick loc report-diff clean
 
 all: check
 
@@ -175,6 +175,26 @@ loc:
 		END { \
 			printf "non-test Go: +%d -%d net %+d\n", add[0], del[0], add[0] - del[0]; \
 			printf "test Go:     +%d -%d net %+d\n", add[1], del[1], add[1] - del[1] }'
+
+# report-diff compares the deterministic experiment reports of BASE and
+# the working tree. BASE is extracted with git archive into a temporary
+# directory (no git worktree); in each tree phibench runs -quick (every
+# experiment) and -exp a10 -journeys, and the "completed in" / "done in"
+# timing lines are dropped. It prints the diff and fails when the reports
+# differ: a refactor must leave them identical, and a change that moves a
+# cell must explain it. Takes 2-4 minutes on two cores. Usage:
+# make report-diff BASE=<ref> (BASE defaults to HEAD, as for loc).
+report-diff:
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	mkdir "$$tmp/base" && git archive $(BASE) | tar -x -C "$$tmp/base" || exit 1; \
+	for tree in base work; do \
+		dir="$$tmp/base"; if [ $$tree = work ]; then dir="$(CURDIR)"; fi; \
+		bin="$$tmp/phibench-$$tree"; \
+		$(GO) -C "$$dir" build -o "$$bin" ./cmd/phibench || exit 1; \
+		"$$bin" -quick > "$$tmp/$$tree.raw" && "$$bin" -exp a10 -journeys >> "$$tmp/$$tree.raw" || exit 1; \
+		grep -v -e 'completed in' -e 'done in' "$$tmp/$$tree.raw" > "$$tmp/$$tree.txt"; \
+	done; \
+	diff "$$tmp/base.txt" "$$tmp/work.txt" && echo "report-diff: reports identical to $(BASE)"
 
 bench:
 	$(GO) run ./cmd/phibench

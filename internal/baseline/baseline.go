@@ -105,24 +105,7 @@ func (e *Engine) MulMod(a, b, n bn.Nat) bn.Nat {
 // ModExp implements engine.Engine with OpenSSL's sliding-window
 // BN_mod_exp_mont schedule over the scalar CIOS kernel.
 func (e *Engine) ModExp(base, exp, n bn.Nat) bn.Nat {
-	return modexp.SlidingWindow(e.ctx(n), base, exp, windowBitsForExponent(exp.BitLen()))
-}
-
-// windowBitsForExponent is OpenSSL's BN_window_bits_for_exponent_size
-// table.
-func windowBitsForExponent(bits int) int {
-	switch {
-	case bits > 671:
-		return 6
-	case bits > 239:
-		return 5
-	case bits > 79:
-		return 4
-	case bits > 23:
-		return 3
-	default:
-		return 1
-	}
+	return modexp.SlidingWindow(e.ctx(n), base, exp, modexp.WindowBitsForExponent(exp.BitLen()))
 }
 
 // karatsubaLimbs is the operand size (in 32-bit limbs) above which generic

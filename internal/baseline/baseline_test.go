@@ -87,15 +87,6 @@ func TestEnginesDifferOnlyInCosts(t *testing.T) {
 	}
 }
 
-func TestWindowBitsTable(t *testing.T) {
-	cases := map[int]int{10: 1, 24: 3, 80: 4, 240: 5, 672: 6, 2048: 6}
-	for bits, want := range cases {
-		if got := windowBitsForExponent(bits); got != want {
-			t.Errorf("windowBitsForExponent(%d) = %d, want %d", bits, got, want)
-		}
-	}
-}
-
 func TestMulOpModelShape(t *testing.T) {
 	// Below the Karatsuba threshold the model is exactly ka*kb muladds.
 	var c knc.ScalarCounts

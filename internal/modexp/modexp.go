@@ -191,9 +191,29 @@ func checkWindow(w int) {
 	}
 }
 
+// WindowBitsForExponent is OpenSSL's BN_window_bits_for_exponent_size
+// table: the window width for an exponent of the given bit length. The
+// scalar baselines run it as their sliding-window width; the batch kernels
+// (internal/vbatch) size their shared-exponent fixed window with it.
+func WindowBitsForExponent(bits int) int {
+	switch {
+	case bits > 671:
+		return 6
+	case bits > 239:
+		return 5
+	case bits > 79:
+		return 4
+	case bits > 23:
+		return 3
+	default:
+		return 1
+	}
+}
+
 // OptimalWindow returns the fixed-window width minimizing multiplication
 // count for an exponent of the given bit length: the classical
-// argmin_w { 2^w + bits/w } schedule (the same table OpenSSL uses).
+// argmin_w { 2^w + bits/w } schedule. It is not OpenSSL's table
+// (WindowBitsForExponent): at 17 bits it picks 2 where OpenSSL picks 1.
 func OptimalWindow(bits int) int {
 	best, bestCost := 1, 1<<63-1
 	for w := 1; w <= 7; w++ {

@@ -150,6 +150,16 @@ func TestWindowValidation(t *testing.T) {
 	}
 }
 
+func TestWindowBitsTable(t *testing.T) {
+	cases := map[int]int{1: 1, 10: 1, 17: 1, 23: 1, 24: 3, 79: 3, 80: 4,
+		239: 4, 240: 5, 671: 5, 672: 6, 2048: 6}
+	for bits, want := range cases {
+		if got := WindowBitsForExponent(bits); got != want {
+			t.Errorf("WindowBitsForExponent(%d) = %d, want %d", bits, got, want)
+		}
+	}
+}
+
 func TestOptimalWindow(t *testing.T) {
 	// Must be monotone non-decreasing in exponent size and land in sane
 	// ranges: ~4-5 for 1024-bit, ~5-6 for 2048-4096.

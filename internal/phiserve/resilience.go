@@ -267,9 +267,23 @@ func (s *Server) runBatch(w *worker, b *batch) {
 			}
 			transient := len(faulted)
 			// Record the pass before delivering its lanes, so a caller
-			// reading Stats on its result sees the pass that served it.
+			// reading Stats on its result sees the pass that served it
+			// and its journey keeps the pass event (a resolved journey
+			// drops later events).
 			s.stats.recordBatch(b.work.Kind(), fill, cycles, phases)
 			s.stats.faultsDetected.Add(int64(transient))
+			if note := journeyNote(pending, func() string {
+				n := fmt.Sprintf("worker=%d fill=%d cycles=%.0f", w.id, fill, cycles)
+				for _, seg := range bd.Segments {
+					n += " " + seg.Name + "=" + seg.Wall.Round(time.Microsecond).String()
+				}
+				return n
+			}); note != "" {
+				kernelWall := time.Since(passStart)
+				for _, q := range pending {
+					q.journey.EventDur("pass", s.cfg.Card, note, kernelWall)
+				}
+			}
 			for i, q := range pending {
 				switch {
 				case laneErrs[i] == nil:
@@ -288,20 +302,8 @@ func (s *Server) runBatch(w *worker, b *batch) {
 					s.finish(q, Result{Err: laneErrs[i], BatchFill: fill, Attempts: attempt}, nil)
 				}
 			}
-			passWall := time.Since(passStart)
-			if note := journeyNote(pending, func() string {
-				n := fmt.Sprintf("worker=%d fill=%d cycles=%.0f", w.id, fill, cycles)
-				for _, seg := range bd.Segments {
-					n += " " + seg.Name + "=" + seg.Wall.Round(time.Microsecond).String()
-				}
-				return n
-			}); note != "" {
-				for _, q := range pending {
-					q.journey.EventDur("pass", s.cfg.Card, note, passWall)
-				}
-			}
 			if b.work.Class() == phiwork.ClassHeavy {
-				s.observePass(passWall)
+				s.observePass(time.Since(passStart))
 			}
 			s.tracePass(w, b, passStart, bd, fill, attempt, cycles, phases, transient)
 			s.breaker.record(transient > 0, probe)

@@ -203,6 +203,34 @@ func TestTelemetrySampledSpans(t *testing.T) {
 	}
 }
 
+// TestCompletedJourneysKeepPassEvent: the pass event is recorded before
+// the pass delivers its lanes, so every completed journey (all kept, with
+// SampleN 1) holds exactly one pass event, ahead of its terminal.
+func TestCompletedJourneysKeepPassEvent(t *testing.T) {
+	const n = 64
+	_, rec := tracedRun(t, telemetry.NewWithTrace(0), n, 1)
+	kept := rec.Kept(n)
+	if len(kept) != n {
+		t.Fatalf("kept %d journeys, want %d", len(kept), n)
+	}
+	for _, j := range kept {
+		evs := j.Events()
+		last := len(evs) - 1
+		if j.Outcome() != phitrace.OutcomeCompleted || evs[last].Kind != "end:completed" {
+			t.Fatalf("journey %d: outcome %s, last event %q", j.ID(), j.Outcome(), evs[last].Kind)
+		}
+		passes := 0
+		for _, e := range evs[:last] {
+			if e.Kind == "pass" {
+				passes++
+			}
+		}
+		if passes != 1 {
+			t.Fatalf("journey %d: %d pass events before its terminal, want 1 (events %+v)", j.ID(), passes, evs)
+		}
+	}
+}
+
 // metricValue parses the sample value off one Prometheus text line.
 func metricValue(t *testing.T, line string) float64 {
 	t.Helper()

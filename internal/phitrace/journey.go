@@ -78,6 +78,23 @@ func (o Outcome) String() string {
 	}
 }
 
+// endKinds are the terminal event kinds, "end:<outcome>", built once so
+// resolving a journey builds no string.
+var endKinds = func() (kinds [OutcomeFaulted + 1]string) {
+	for o := range kinds {
+		kinds[o] = "end:" + Outcome(o).String()
+	}
+	return kinds
+}()
+
+// endKind returns the outcome's terminal event kind.
+func (o Outcome) endKind() string {
+	if int(o) >= len(endKinds) {
+		o = OutcomeUnknown // String's "unknown"
+	}
+	return endKinds[o]
+}
+
 // Shed reports whether the outcome is one of the three shed classes.
 func (o Outcome) Shed() bool {
 	return o == OutcomeShedOverload || o == OutcomeShedTenant || o == OutcomeShedOverflow
@@ -113,6 +130,7 @@ type Journey struct {
 	deadline  time.Time
 	slo       time.Duration
 	events    []Event
+	inline    [initialEvents]Event // events' first backing array
 	truncated int
 	card      int
 	hops      int
@@ -218,7 +236,7 @@ func (j *Journey) FinishAt(at time.Time, o Outcome, note string) {
 	j.terminals++
 	j.outcome = o
 	j.end = at
-	j.appendLocked(Event{At: at, Kind: "end:" + o.String(), Card: -1, Note: note}, true)
+	j.appendLocked(Event{At: at, Kind: o.endKind(), Card: -1, Note: note}, true)
 	anomaly := j.anomalyLocked()
 	j.mu.Unlock()
 	j.rec.resolve(j, at, anomaly)

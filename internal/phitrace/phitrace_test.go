@@ -246,3 +246,25 @@ func TestWriteJourneysShape(t *testing.T) {
 		}
 	}
 }
+
+// TestUnsampledJourneyAllocs: a clean journey that 1-in-N sampling
+// discards — begun, five steps, resolved — allocates only itself. Its
+// first events live inline and its terminal kind is prebuilt.
+func TestUnsampledJourneyAllocs(t *testing.T) {
+	r := New(Config{SampleN: 1 << 30})
+	allocs := testing.AllocsPerRun(100, func() {
+		j := r.BeginWork("gold", "rsa-2048", "rsa-priv", time.Time{}, 0)
+		j.Event("door", -1, "admit")
+		j.Event("route", 0, "home")
+		j.Event("seal", 0, "fill=3")
+		j.Event("dequeue", 0, "slot=1")
+		j.EventDur("pass", 0, "fill=3", time.Millisecond)
+		j.Finish(OutcomeCompleted, "")
+	})
+	if allocs > 1 {
+		t.Fatalf("unsampled journey lifecycle: %v allocations, want at most 1", allocs)
+	}
+	if c := r.Counts(); c.KeptSampled != 0 || c.KeptAnomalous != 0 {
+		t.Fatalf("journeys were kept: %+v", c)
+	}
+}

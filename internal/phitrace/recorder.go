@@ -262,9 +262,10 @@ func (r *Recorder) BeginWork(tenant, key, workload string, deadline time.Time, s
 	return r.BeginWorkAt(r.now(), tenant, key, workload, deadline, slo)
 }
 
-// initialEvents is a new journey's event capacity. A clean request
-// records six to eight steps, so most journeys never grow; a chatty one
-// (retries, steals) grows by append up to Config.MaxEvents.
+// initialEvents is how many events a journey stores inline. A clean
+// request records six to eight steps, so most journeys are one
+// allocation; a chatty one (retries, steals) grows by append up to
+// Config.MaxEvents.
 const initialEvents = 8
 
 // BeginWorkAt is BeginWork at an explicit (virtual) time.
@@ -272,7 +273,7 @@ func (r *Recorder) BeginWorkAt(at time.Time, tenant, key, workload string, deadl
 	if r == nil {
 		return nil
 	}
-	return &Journey{
+	j := &Journey{
 		id:       r.seq.Add(1),
 		tenant:   tenant,
 		key:      key,
@@ -282,8 +283,9 @@ func (r *Recorder) BeginWorkAt(at time.Time, tenant, key, workload string, deadl
 		deadline: deadline,
 		slo:      slo,
 		card:     -1,
-		events:   make([]Event, 0, min(initialEvents, r.cfg.MaxEvents)),
 	}
+	j.events = j.inline[:0]
+	return j
 }
 
 func (r *Recorder) duplicateTerminal() {

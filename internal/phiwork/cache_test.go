@@ -99,3 +99,32 @@ func TestTransient(t *testing.T) {
 		t.Fatalf("validation error %v classified transient", err)
 	}
 }
+
+// TestTagsBuiltOnce: a canonical workload's Tag is built by its
+// constructor, so the per-journey Tag call allocates nothing, and a struct
+// literal still reports the same tag.
+func TestTagsBuiltOnce(t *testing.T) {
+	key := testKey1024(t)
+	g := dh.MODP1024()
+	for _, c := range []struct {
+		w       Workload
+		literal Workload
+		want    string
+	}{
+		{RSAPrivateFor(key), &RSAPrivate{Key: key}, "rsa-1024"},
+		{PSSSignFor(key), &PSSSign{Key: key}, "pss-1024"},
+		{RSAPublicFor(&key.PublicKey), &RSAPublic{Key: &key.PublicKey}, "pub-1024"},
+		{DHEFixedFor(g), &DHEFixed{Group: g}, "dhe-fixed-" + g.Name},
+		{DHEVarFor(g), &DHEVar{Group: g}, "dhe-var-" + g.Name},
+	} {
+		if got := c.w.Tag(); got != c.want {
+			t.Errorf("%s: Tag %q, want %q", c.w.Kind(), got, c.want)
+		}
+		if got := c.literal.Tag(); got != c.want {
+			t.Errorf("%s literal: Tag %q, want %q", c.w.Kind(), got, c.want)
+		}
+		if n := testing.AllocsPerRun(100, func() { _ = c.w.Tag() }); n != 0 {
+			t.Errorf("%s: %v allocations per Tag call, want 0", c.w.Kind(), n)
+		}
+	}
+}

@@ -24,14 +24,25 @@ func groupRouteBytes(kind Kind, g dh.Group) []byte {
 	return routeBytes(kind, g.P)
 }
 
+// groupTag is bitsTag for the DH kinds: prefix + the group's name.
+func groupTag(tag, prefix string, g dh.Group) string {
+	if tag != "" {
+		return tag
+	}
+	return prefix + g.Name
+}
+
 // DHEFixed computes g^x mod P for per-lane ephemeral exponents — the
 // server-side key-generation half of a DHE handshake.
 type DHEFixed struct {
 	Group dh.Group
+	tag   string
 }
 
 // NewDHEFixed wraps g as a fixed-base workload.
-func NewDHEFixed(g dh.Group) *DHEFixed { return &DHEFixed{Group: g} }
+func NewDHEFixed(g dh.Group) *DHEFixed {
+	return &DHEFixed{Group: g, tag: groupTag("", "dhe-fixed-", g)}
+}
 
 // Kind implements Workload.
 func (w *DHEFixed) Kind() Kind { return KindDHEFixed }
@@ -40,7 +51,7 @@ func (w *DHEFixed) Kind() Kind { return KindDHEFixed }
 func (w *DHEFixed) Class() Class { return ClassHeavy }
 
 // Tag implements Workload.
-func (w *DHEFixed) Tag() string { return "dhe-fixed-" + w.Group.Name }
+func (w *DHEFixed) Tag() string { return groupTag(w.tag, "dhe-fixed-", w.Group) }
 
 // RouteBytes implements Workload.
 func (w *DHEFixed) RouteBytes() []byte { return groupRouteBytes(KindDHEFixed, w.Group) }
@@ -86,10 +97,13 @@ func (w *DHEFixed) ExecuteScalar(eng engine.Engine, in Input) (bn.Nat, error) {
 // dh.SharedSecret.
 type DHEVar struct {
 	Group dh.Group
+	tag   string
 }
 
 // NewDHEVar wraps g as a variable-base workload.
-func NewDHEVar(g dh.Group) *DHEVar { return &DHEVar{Group: g} }
+func NewDHEVar(g dh.Group) *DHEVar {
+	return &DHEVar{Group: g, tag: groupTag("", "dhe-var-", g)}
+}
 
 // Kind implements Workload.
 func (w *DHEVar) Kind() Kind { return KindDHEVar }
@@ -98,7 +112,7 @@ func (w *DHEVar) Kind() Kind { return KindDHEVar }
 func (w *DHEVar) Class() Class { return ClassHeavy }
 
 // Tag implements Workload.
-func (w *DHEVar) Tag() string { return "dhe-var-" + w.Group.Name }
+func (w *DHEVar) Tag() string { return groupTag(w.tag, "dhe-var-", w.Group) }
 
 // RouteBytes implements Workload.
 func (w *DHEVar) RouteBytes() []byte { return groupRouteBytes(KindDHEVar, w.Group) }

@@ -6,8 +6,8 @@ import (
 	mrand "math/rand"
 	"testing"
 
+	"phiopenssl/internal/baseline"
 	"phiopenssl/internal/bn"
-	"phiopenssl/internal/core"
 	"phiopenssl/internal/dh"
 	"phiopenssl/internal/phiwork"
 	"phiopenssl/internal/rsakit"
@@ -72,7 +72,7 @@ func checkBatchVsScalar(t *testing.T, w phiwork.Workload, ins []phiwork.Input, m
 	if total == 0 {
 		t.Error("breakdown charged zero instructions for a live pass")
 	}
-	eng := core.New()
+	eng := baseline.NewMPSS()
 	for l, in := range ins {
 		want, scalarErr := w.ExecuteScalar(eng, in)
 		if (scalarErr != nil) != (laneErrs[l] != nil) {
@@ -109,7 +109,7 @@ func TestRSAPrivateDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				eng := core.New()
+				eng := baseline.NewMPSS()
 				for l, in := range ins {
 					want, err := rsakit.PrivateOp(eng, key, in.A, rsakit.DefaultPrivateOpts())
 					if err != nil {
@@ -147,7 +147,7 @@ func TestPSSSignDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				eng := core.New()
+				eng := baseline.NewMPSS()
 				for l, msg := range msgs {
 					if laneErrs[l] != nil {
 						t.Fatalf("lane %d: %v", l, laneErrs[l])
@@ -182,7 +182,7 @@ func TestDHEFixedDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				eng := core.New()
+				eng := baseline.NewMPSS()
 				for l, in := range ins {
 					if want := eng.ModExp(group.G, in.A, group.P); !out[l].Equal(want) {
 						t.Fatalf("lane %d: batch g^x diverges from scalar ModExp", l)
@@ -199,7 +199,7 @@ func TestDHEVarDifferential(t *testing.T) {
 			t.Run(bits+"/"+name, func(t *testing.T) {
 				w := phiwork.NewDHEVar(group)
 				rng := mrand.New(mrand.NewSource(29))
-				eng := core.New()
+				eng := baseline.NewMPSS()
 				ins := make([]phiwork.Input, 5)
 				for i := range ins {
 					us, err := dh.GenerateKey(eng, rng, group)
@@ -240,7 +240,7 @@ func TestDHEVarRejectsDegenerateLanes(t *testing.T) {
 	group := dh.MODP1024()
 	w := phiwork.NewDHEVar(group)
 	rng := mrand.New(mrand.NewSource(31))
-	eng := core.New()
+	eng := baseline.NewMPSS()
 	good, err := dh.GenerateKey(eng, rng, group)
 	if err != nil {
 		t.Fatal(err)
@@ -379,7 +379,7 @@ func TestRSAPrivateFaultWithholds(t *testing.T) {
 func TestBackendsAgreeAtPartialFill(t *testing.T) {
 	key, group := diffKey1024, dh.MODP1024()
 	rng := mrand.New(mrand.NewSource(41))
-	eng := core.New()
+	eng := baseline.NewMPSS()
 	below := func(n bn.Nat) bn.Nat {
 		v, err := bn.RandomRange(rng, bn.One(), n)
 		if err != nil {

@@ -2,6 +2,7 @@ package phiwork
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"phiopenssl/internal/bn"
@@ -22,6 +23,15 @@ func routeBytes(kind Kind, n bn.Nat) []byte {
 	out = append(out, 0)
 	out = append(out, nb...)
 	return out
+}
+
+// bitsTag returns tag, the tag a constructor built once, or builds
+// prefix-<modulus bits> when tag is unset (a struct literal).
+func bitsTag(tag, prefix string, n bn.Nat) string {
+	if tag != "" {
+		return tag
+	}
+	return prefix + "-" + strconv.Itoa(n.BitLen())
 }
 
 // crtSegments converts a rsakit.PassBreakdown's wall times into the
@@ -56,10 +66,13 @@ func executePrivateBatch(be vpu.Backend, key *rsakit.PrivateKey, ins []Input) ([
 // pipeline.
 type RSAPrivate struct {
 	Key *rsakit.PrivateKey
+	tag string
 }
 
 // NewRSAPrivate wraps key as a workload.
-func NewRSAPrivate(key *rsakit.PrivateKey) *RSAPrivate { return &RSAPrivate{Key: key} }
+func NewRSAPrivate(key *rsakit.PrivateKey) *RSAPrivate {
+	return &RSAPrivate{Key: key, tag: bitsTag("", "rsa", key.N)}
+}
 
 // Kind implements Workload.
 func (w *RSAPrivate) Kind() Kind { return KindRSAPrivate }
@@ -68,7 +81,7 @@ func (w *RSAPrivate) Kind() Kind { return KindRSAPrivate }
 func (w *RSAPrivate) Class() Class { return ClassHeavy }
 
 // Tag implements Workload.
-func (w *RSAPrivate) Tag() string { return fmt.Sprintf("rsa-%d", w.Key.N.BitLen()) }
+func (w *RSAPrivate) Tag() string { return bitsTag(w.tag, "rsa", w.Key.N) }
 
 // RouteBytes implements Workload.
 func (w *RSAPrivate) RouteBytes() []byte { return routeBytes(KindRSAPrivate, w.Key.N) }
@@ -103,10 +116,13 @@ func (w *RSAPrivate) ExecuteScalar(eng engine.Engine, in Input) (bn.Nat, error) 
 // decryption traffic on the same key.
 type PSSSign struct {
 	Key *rsakit.PrivateKey
+	tag string
 }
 
 // NewPSSSign wraps key as a signing workload.
-func NewPSSSign(key *rsakit.PrivateKey) *PSSSign { return &PSSSign{Key: key} }
+func NewPSSSign(key *rsakit.PrivateKey) *PSSSign {
+	return &PSSSign{Key: key, tag: bitsTag("", "pss", key.N)}
+}
 
 // Kind implements Workload.
 func (w *PSSSign) Kind() Kind { return KindPSSSign }
@@ -115,7 +131,7 @@ func (w *PSSSign) Kind() Kind { return KindPSSSign }
 func (w *PSSSign) Class() Class { return ClassHeavy }
 
 // Tag implements Workload.
-func (w *PSSSign) Tag() string { return fmt.Sprintf("pss-%d", w.Key.N.BitLen()) }
+func (w *PSSSign) Tag() string { return bitsTag(w.tag, "pss", w.Key.N) }
 
 // RouteBytes implements Workload.
 func (w *PSSSign) RouteBytes() []byte { return routeBytes(KindPSSSign, w.Key.N) }
@@ -147,10 +163,13 @@ func (w *PSSSign) ExecuteScalar(eng engine.Engine, in Input) (bn.Nat, error) {
 // batches from the fast lane so private-op floods cannot starve it.
 type RSAPublic struct {
 	Key *rsakit.PublicKey
+	tag string
 }
 
 // NewRSAPublic wraps pub as a workload.
-func NewRSAPublic(pub *rsakit.PublicKey) *RSAPublic { return &RSAPublic{Key: pub} }
+func NewRSAPublic(pub *rsakit.PublicKey) *RSAPublic {
+	return &RSAPublic{Key: pub, tag: bitsTag("", "pub", pub.N)}
+}
 
 // Kind implements Workload.
 func (w *RSAPublic) Kind() Kind { return KindPublic }
@@ -159,7 +178,7 @@ func (w *RSAPublic) Kind() Kind { return KindPublic }
 func (w *RSAPublic) Class() Class { return ClassLight }
 
 // Tag implements Workload.
-func (w *RSAPublic) Tag() string { return fmt.Sprintf("pub-%d", w.Key.N.BitLen()) }
+func (w *RSAPublic) Tag() string { return bitsTag(w.tag, "pub", w.Key.N) }
 
 // RouteBytes implements Workload.
 func (w *RSAPublic) RouteBytes() []byte { return routeBytes(KindPublic, w.Key.N) }

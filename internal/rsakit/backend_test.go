@@ -10,6 +10,7 @@ import (
 	"phiopenssl/internal/baseline"
 	"phiopenssl/internal/bn"
 	"phiopenssl/internal/faultsim"
+	"phiopenssl/internal/vbatch"
 	"phiopenssl/internal/vpu"
 )
 
@@ -71,6 +72,90 @@ func TestPrivateOpBatchBackendDifferential(t *testing.T) {
 			}
 		}
 	}
+}
+
+// passCountsGolden are the instruction counts of one CRT-only batch pass
+// and of one Bellcore-verified pass on the test keys, recorded when every
+// shared exponent ran fixed 5-bit windows. The counts depend on the key
+// (its exponent digits) but not on the inputs or the fill.
+var passCountsGolden = map[int]struct{ crt, verified5 vpu.Counts }{
+	512: {
+		crt:       vpu.Counts{547693, 178728, 36, 256, 6093},
+		verified5: vpu.Counts{702190, 229688, 70, 768, 6926},
+	},
+	1024: {
+		crt:       vpu.Counts{4029534, 1329120, 68, 1024, 21726},
+		verified5: vpu.Counts{4639535, 1531392, 134, 2048, 23343},
+	},
+	2048: {
+		crt:       vpu.Counts{31047806, 10295232, 132, 2048, 82302},
+		verified5: vpu.Counts{33471983, 11101184, 262, 4096, 85487},
+	},
+}
+
+// TestPassCountsGolden pins what the exponent-sized shared window moved:
+// the CRT exponents (240 bits or more) keep 5-bit windows, so the CRT-only
+// pass keeps its golden counts, while the Bellcore check's m^65537 drops
+// from 49 to 20 Montgomery-multiply events, so the verified pass charges
+// exactly 29 events less than under 5-bit windows — and exactly one
+// public pass more than the CRT-only pass.
+func TestPassCountsGolden(t *testing.T) {
+	for _, key := range []*PrivateKey{testKey512, testKey1024, testKey2048()} {
+		bits := key.N.BitLen()
+		golden := passCountsGolden[bits]
+		cs, _ := encryptLanes(t, key, 505)
+		crt := passCounts(t, func(be vpu.Backend) error {
+			_, err := PrivateOpBatchN(be, key, cs[:1])
+			return err
+		})
+		verified := passCounts(t, func(be vpu.Backend) error {
+			_, _, err := PrivateOpBatchVerifiedN(be, key, cs[:1])
+			return err
+		})
+		public := passCounts(t, func(be vpu.Backend) error {
+			_, err := PublicOpBatchN(be, &key.PublicKey, cs[:1])
+			return err
+		})
+		if crt != golden.crt {
+			t.Errorf("%d-bit CRT-only pass: %v, golden %v", bits, crt, golden.crt)
+		}
+		mul := mulEventCounts(t, key.N)
+		want := golden.verified5
+		for i := range want {
+			want[i] -= 29 * mul[i]
+		}
+		if verified != want {
+			t.Errorf("%d-bit verified pass: %v, want %v (golden less 29 multiplies)", bits, verified, want)
+		}
+		if sum := crt.Add(public); verified != sum {
+			t.Errorf("%d-bit verified pass %v != CRT-only + public pass %v", bits, verified, sum)
+		}
+	}
+}
+
+// passCounts returns the counts one pass charges on a fresh direct
+// backend (equal to the sim's, per the differentials).
+func passCounts(t *testing.T, pass func(vpu.Backend) error) vpu.Counts {
+	t.Helper()
+	be := vpu.NewDirect()
+	if err := pass(be); err != nil {
+		t.Fatal(err)
+	}
+	return be.Counts()
+}
+
+// mulEventCounts returns the charge of one Montgomery-multiply event mod
+// n: the multiply and reduce phases of one MontMul call.
+func mulEventCounts(t *testing.T, n bn.Nat) vpu.Counts {
+	t.Helper()
+	be := vpu.NewDirect()
+	k, err := vbatch.NewKernels(n, be)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k.MontMul([]bn.Nat{bn.One()}, []bn.Nat{bn.One()})
+	ph := be.PhaseCounts()
+	return ph[vbatch.PhaseMul].Add(ph[vbatch.PhaseReduce])
 }
 
 // TestPrivateOpBatchVerifiedFaultsBothBackends: ErrFaultDetected must

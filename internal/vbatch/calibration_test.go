@@ -2,6 +2,7 @@ package vbatch
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"phiopenssl/internal/bn"
@@ -105,5 +106,99 @@ func TestDirectCalibrationPortsAcrossModuli(t *testing.T) {
 	direct.MontMul(a[:], b[:])
 	if sc, dc := sim.Backend().Counts(), direct.Backend().Counts(); sc != dc {
 		t.Fatalf("cached calibration does not port to a second modulus:\n sim    %v\n direct %v", sc, dc)
+	}
+}
+
+// TestPublicExponentChargesTwentyMultiplies pins the public-exponent
+// schedule: m^65537 is 17 bits, so ModExpShared runs 1-bit windows —
+// ToMont, One, sixteen squarings, one multiply and FromMont — and a pass
+// charges exactly one pack, one unpack and 20 Montgomery-multiply events
+// on both backends, phase by phase.
+func TestPublicExponentChargesTwentyMultiplies(t *testing.T) {
+	rng := rand.New(rand.NewSource(65537))
+	m := randOdd(rng, 1024)
+	a := randBatch(rng, m)
+	cal := calibrate(m.LimbLen())
+	var want [vpu.MaxPhases]vpu.Counts
+	want[PhasePack] = cal.pack.Add(cal.unpack)
+	for ph := range want {
+		for i, n := range cal.mul[ph] {
+			want[ph][i] += 20 * n
+		}
+	}
+	sim, direct := bothKernels(t, m)
+	for _, k := range []Kernels{sim, direct} {
+		k.Backend().Reset()
+		k.ModExpShared(a[:], bn.FromUint64(65537))
+		got := k.Backend().PhaseCounts()
+		for ph := range want {
+			if got[ph] != want[ph] {
+				t.Fatalf("%T phase %s: %v, want %v", k, PhaseName(vpu.Phase(ph)), got[ph], want[ph])
+			}
+		}
+	}
+}
+
+// TestNewKernelsCachedModulusAllocs: a direct context on a modulus seen
+// before takes its constants (modulus words, -n^-1, R^2 mod n) from the
+// per-modulus cache, so it allocates only itself and its two scratch
+// buffers — no bn division.
+func TestNewKernelsCachedModulusAllocs(t *testing.T) {
+	m := randOdd(rand.New(rand.NewSource(12)), 2048)
+	d := vpu.NewDirect()
+	if _, err := NewKernels(m, d); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := NewKernels(m, d); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 3 {
+		t.Fatalf("NewKernels on a cached modulus: %v allocations, want at most 3", allocs)
+	}
+}
+
+// TestNewKernelsConcurrentSameModulus races first contexts on one new
+// modulus (run under -race): every context must compute the same results
+// and charge the same counts as a sim context.
+func TestNewKernelsConcurrentSameModulus(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	m := randOdd(rng, 544)
+	a := randBatch(rng, m)
+	exp := randOdd(rng, 200)
+	sim, err := NewKernels(m, vpu.New())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := sim.ModExpShared(a[:], exp)
+	wantCounts := sim.Backend().Counts()
+	var wg sync.WaitGroup
+	errs := make(chan string, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			k, err := NewKernels(m, vpu.NewDirect())
+			if err != nil {
+				errs <- err.Error()
+				return
+			}
+			got := k.ModExpShared(a[:], exp)
+			for l := range got {
+				if !got[l].Equal(want[l]) {
+					errs <- "lane result differs from the sim's"
+					return
+				}
+			}
+			if c := k.Backend().Counts(); c != wantCounts {
+				errs <- "counts differ from the sim's"
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
 	}
 }

@@ -2,6 +2,7 @@ package vbatch
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -102,6 +103,36 @@ func TestBackendDifferentialSizes(t *testing.T) {
 		diffCheck(t, "ModExpMulti", sim, direct, func(k Kernels, fill int) []bn.Nat {
 			return k.ModExpMulti(a[:fill], exps[:fill])
 		})
+	}
+}
+
+// TestSharedWindowBoundaries drives ModExpShared across every width step
+// of its window rule — both sides of OpenSSL's 23/79/239/671-bit
+// boundaries, the cap at 5 bits above 671, 1- and 2-bit exponents and the
+// 17-bit public exponent — at fills 1 and 16. Both backends must return
+// the reference result and agree in counts and phases.
+func TestSharedWindowBoundaries(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	m := randOdd(rng, 256)
+	sim, direct := bothKernels(t, m)
+	a := randBatch(rng, m)
+	for _, bits := range []int{1, 2, 17, 23, 24, 79, 80, 239, 240, 671, 672} {
+		exp := randOdd(rng, bits)
+		if exp.BitLen() != bits {
+			t.Fatalf("%d-bit exponent has %d bits", bits, exp.BitLen())
+		}
+		for _, fill := range []int{1, BatchSize} {
+			name := fmt.Sprintf("ModExpShared(%d-bit exp, w=%d)", bits, sharedWindow(bits))
+			diffCheckFill(t, name, sim, direct, fill, func(k Kernels, fill int) []bn.Nat {
+				out := k.ModExpShared(a[:fill], exp)
+				for l := range out {
+					if want := a[l].ModExp(exp, m); !out[l].Equal(want) {
+						t.Fatalf("%s fill %d lane %d: %s != %s", name, fill, l, out[l], want)
+					}
+				}
+				return out
+			})
+		}
 	}
 }
 

@@ -26,14 +26,16 @@ import (
 // schedule is data-independent (per-lane carries ride mask vectors, never
 // branches), the Pack/Unpack gather cost depends only on the fixed
 // lane-transposing index pattern, and the window schedules branch only on
-// exponent digits — which the direct kernels replay identically. The
-// per-k event costs are measured once against a scratch interpreted
+// the exponents — their digits, and for ModExpShared the bit length that
+// sets the window width — which the direct kernels replay identically.
+// The per-k event costs are measured once against a scratch interpreted
 // context (calibrate) and cached for the process lifetime; the
 // differential and calibration tests pin the equality.
 //
-// Each kernel call takes all its lane storage — the operands, the window
-// table and the accumulator — from one allocation, and every event writes
-// its result in place.
+// Each modulus's read-only constants are computed once and shared by its
+// contexts (constsFor). Each kernel call takes all its lane storage — the
+// operands, the window table and the accumulator — from one allocation,
+// and every event writes its result in place.
 
 // calibration holds the per-event cost deltas for one limb width,
 // measured against the interpreted kernels.
@@ -101,26 +103,92 @@ func calibrate(k int) *calibration {
 	return actual.(*calibration)
 }
 
-// directCtx implements Kernels on a vpu.Direct meter.
-type directCtx struct {
-	modulus bn.Nat
-	k       int      // 32-bit limb count, the sim's lane width
+// modConsts are one modulus's read-only kernel constants. Every direct
+// context on the modulus shares one copy (see constsFor).
+type modConsts struct {
 	n       []uint64 // modulus, ⌈k/2⌉ words
 	n0      uint64   // -n^-1 mod 2^64
 	topMask uint64   // the top word's bits below 2^(32k)
+	rr, one dBatch   // R^2 mod n and 1 in every lane, R = 2^(32k)
+}
+
+// newModConsts computes m's constants; R^2 mod m takes a bn division.
+func newModConsts(m bn.Nat) *modConsts {
+	k := m.LimbLen()
+	words := (k + 1) / 2
+	mc := &modConsts{n: make([]uint64, words), topMask: ^uint64(0)}
+	if k%2 == 1 {
+		mc.topMask = 0xffffffff
+	}
+	natWords(mc.n, m)
+	mc.n0 = -invWord(mc.n[0])
+	rr := make([]uint64, words)
+	natWords(rr, bn.One().Shl(uint(64*k)).Mod(m))
+	one := make([]uint64, words)
+	one[0] = 1
+	for l := range mc.rr {
+		mc.rr[l], mc.one[l] = rr, one // lanes alias: kernel inputs are read-only
+	}
+	return mc
+}
+
+// constCacheMax bounds the per-modulus constant cache, like phiwork's
+// instance cache; past it, each new modulus's contexts compute their own.
+const constCacheMax = 1024
+
+// constCache maps a modulus's big-endian bytes to its constants.
+var constCache struct {
+	sync.Mutex
+	m map[string]*modConsts
+}
+
+// constsFor returns m's constants, computed once per modulus while the
+// cache has room. The lookup key is built on the stack for moduli up to
+// 4096 bits, so a hit allocates nothing.
+func constsFor(m bn.Nat) *modConsts {
+	var buf [512]byte
+	var key []byte
+	if n := (m.BitLen() + 7) / 8; n <= len(buf) {
+		key = m.FillBytes(buf[:n])
+	} else {
+		key = m.Bytes()
+	}
+	constCache.Lock()
+	mc := constCache.m[string(key)]
+	constCache.Unlock()
+	if mc != nil {
+		return mc
+	}
+	mc = newModConsts(m)
+	constCache.Lock()
+	if constCache.m == nil {
+		constCache.m = make(map[string]*modConsts)
+	}
+	if len(constCache.m) < constCacheMax {
+		constCache.m[string(key)] = mc
+	}
+	constCache.Unlock()
+	return mc
+}
+
+// directCtx implements Kernels on a vpu.Direct meter.
+type directCtx struct {
+	*modConsts
+	modulus bn.Nat
+	k       int // 32-bit limb count, the sim's lane width
 	d       *vpu.Direct
 	cal     *calibration
 	t       []uint64 // montMul accumulator, ⌈k/2⌉ words
 	limbs   []uint32 // unpack buffer, k limbs
 	vec     vpu.Vec  // corrupt's limb vector, handed to the injector
-	rr, one dBatch   // R^2 mod n and 1 in every lane, R = 2^(32k)
 	live    int      // lanes the current kernel call computes, 1..BatchSize
 }
 
 var _ Kernels = (*directCtx)(nil)
 
 // newDirectCtx mirrors NewCtx: same validation, same context-setup charge
-// (the 2k+2 constant broadcasts, in the ambient phase).
+// (the 2k+2 constant broadcasts, in the ambient phase), which every
+// context pays even though the host computes a modulus's constants once.
 func newDirectCtx(m bn.Nat, d *vpu.Direct) (*directCtx, error) {
 	if m.IsZero() || m.IsOne() {
 		return nil, fmt.Errorf("vbatch: modulus must be > 1, got %s", m)
@@ -129,28 +197,14 @@ func newDirectCtx(m bn.Nat, d *vpu.Direct) (*directCtx, error) {
 		return nil, fmt.Errorf("vbatch: modulus must be odd, got %s", m)
 	}
 	k := m.LimbLen()
-	words := (k + 1) / 2
 	c := &directCtx{
-		modulus: m,
-		k:       k,
-		n:       make([]uint64, words),
-		topMask: ^uint64(0),
-		d:       d,
-		cal:     calibrate(k),
-		t:       make([]uint64, words),
-		limbs:   make([]uint32, k),
-	}
-	if k%2 == 1 {
-		c.topMask = 0xffffffff
-	}
-	natWords(c.n, m)
-	c.n0 = -invWord(c.n[0])
-	rr := make([]uint64, words)
-	natWords(rr, bn.One().Shl(uint(64*k)).Mod(m))
-	one := make([]uint64, words)
-	one[0] = 1
-	for l := range c.rr {
-		c.rr[l], c.one[l] = rr, one // lanes alias: kernel inputs are read-only
+		modConsts: constsFor(m),
+		modulus:   m,
+		k:         k,
+		d:         d,
+		cal:       calibrate(k),
+		t:         make([]uint64, (k+1)/2),
+		limbs:     make([]uint32, k),
 	}
 	c.d.Charge(c.cal.init)
 	return c, nil
@@ -311,16 +365,17 @@ func (c *directCtx) buildTable(table []dBatch, bases []bn.Nat) {
 }
 
 // ModExpShared implements Kernels, replaying Ctx.ModExpShared's event
-// schedule exactly: same table build, same squarings, same zero-digit
-// multiply skips (the shared exponent makes them lane-uniform).
+// schedule exactly: same window width, same table build, same squarings,
+// same zero-digit multiply skips (the shared exponent makes them
+// lane-uniform).
 func (c *directCtx) ModExpShared(bases []bn.Nat, exp bn.Nat) []bn.Nat {
 	c.begin(len(bases))
 	if exp.IsZero() {
 		return ones(len(bases), c.modulus)
 	}
-	const w = 5
-	var bs [1<<w + 1]dBatch
-	c.arena(bs[:])
+	w := sharedWindow(exp.BitLen())
+	var bs [1<<maxSharedWindow + 1]dBatch
+	c.arena(bs[:1<<w+1])
 	table, acc := bs[:1<<w], &bs[1<<w]
 	c.buildTable(table, bases)
 

@@ -2,15 +2,29 @@ package vbatch
 
 import (
 	"phiopenssl/internal/bn"
+	"phiopenssl/internal/modexp"
 	"phiopenssl/internal/vpu"
 )
+
+// maxSharedWindow caps ModExpShared's window width.
+const maxSharedWindow = 5
+
+// sharedWindow returns ModExpShared's fixed-window width for an exponent
+// of the given bit length: OpenSSL's table (modexp.WindowBitsForExponent)
+// capped at maxSharedWindow. A public exponent such as 65537 gets 1-bit
+// windows (a 2-entry table, one multiply per set bit); every exponent of
+// 240 bits or more — RSA CRT exponents from 512-bit keys up — gets 5.
+func sharedWindow(bits int) int {
+	return min(modexp.WindowBitsForExponent(bits), maxSharedWindow)
+}
 
 // ModExpShared computes base[l]^exp mod N for the 1..BatchSize live lanes
 // in one sixteen-lane pass, with one exponent shared across lanes — the
 // RSA-server case, where every private operation under the same key
-// raises to the same (CRT) exponent. Fixed 5-bit windows; because the
-// exponent is shared, the window schedule is identical in every lane and
-// the operation sequence is inherently exponent-uniform across the batch.
+// raises to the same (CRT) exponent. Fixed windows sized to the exponent
+// (sharedWindow); because the exponent is shared, the window schedule is
+// identical in every lane and the operation sequence is inherently
+// exponent-uniform across the batch.
 func (c *Ctx) ModExpShared(bases []bn.Nat, exp bn.Nat) []bn.Nat {
 	mustFill(len(bases))
 	if exp.IsZero() {
@@ -18,7 +32,7 @@ func (c *Ctx) ModExpShared(bases []bn.Nat, exp bn.Nat) []bn.Nat {
 	}
 	xm := c.ToMont(c.Pack(padLanes(reduce(bases, c.modulus))))
 
-	const w = 5
+	w := sharedWindow(exp.BitLen())
 	table := make([]Batch, 1<<w)
 	table[0] = c.One()
 	table[1] = xm
