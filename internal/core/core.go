@@ -11,8 +11,6 @@
 package core
 
 import (
-	"fmt"
-
 	"phiopenssl/internal/bn"
 	"phiopenssl/internal/engine"
 	"phiopenssl/internal/knc"
@@ -42,46 +40,22 @@ func WithVectorCosts(t knc.VectorCostTable) Option {
 	return func(e *Engine) { e.costs = t }
 }
 
-// WithBackend selects the execution backend (default vpu.BackendSim,
-// which is also what vpu.BackendDefault resolves to here — the per-op
-// engine is the measurement surface, so it stays cycle-exact unless a
-// caller explicitly opts into the direct path).
-//
-// With vpu.BackendDirect the engine computes every operation with plain
-// bn limb arithmetic and charges its meter a per-operation instruction
-// delta measured on a private scratch sim engine the first time each
-// operation shape (operand widths / modulus / exponent) appears. Unlike
-// the batch kernels — whose instruction counts are pure functions of the
-// limb count, making the direct charge exact — the horizontal vmont
-// kernels have data-dependent counts (carry ripples), so repeated shapes
-// with different operand values are charged approximately: the first
-// occurrence's exact cost. The serving hot path (rsakit batch ops via
-// vbatch) is exact on both backends; this per-op path trades that last
-// sliver of fidelity for wall-clock speed on repeated shapes.
-func WithBackend(kind vpu.BackendKind) Option {
-	return func(e *Engine) { e.kind = kind }
-}
-
 // Engine is the PhiOpenSSL vectorized engine. Not safe for concurrent use;
 // create one per simulated hardware thread.
 type Engine struct {
-	kind      vpu.BackendKind
-	unit      *vpu.Unit   // sim backend (nil when direct)
-	direct    *vpu.Direct // direct backend (nil when sim)
+	unit      *vpu.Unit
 	costs     knc.VectorCostTable
 	window    int // 0 = auto
 	constTime bool
 	ctxs      map[string]*vmont.Ctx
-	charges   map[string]vpu.Counts // direct: memoized per-shape count deltas
-	scratch   *Engine               // direct: sim engine the deltas are measured on
 }
 
 var _ engine.Engine = (*Engine)(nil)
 
-// New returns a PhiOpenSSL engine with a fresh backend (sim unless
-// WithBackend says otherwise).
+// New returns a PhiOpenSSL engine on a fresh simulated vector unit.
 func New(opts ...Option) *Engine {
 	e := &Engine{
+		unit:      vpu.New(),
 		costs:     knc.KNCVectorCosts,
 		constTime: true,
 		ctxs:      make(map[string]*vmont.Ctx),
@@ -89,57 +63,20 @@ func New(opts ...Option) *Engine {
 	for _, o := range opts {
 		o(e)
 	}
-	if e.kind == vpu.BackendDirect {
-		e.direct = vpu.NewDirect()
-		e.charges = make(map[string]vpu.Counts)
-	} else {
-		e.unit = vpu.New()
-	}
 	return e
 }
 
 // Name implements engine.Engine.
 func (e *Engine) Name() string { return "PhiOpenSSL" }
 
-// Backend returns the meter the engine charges.
-func (e *Engine) Backend() vpu.Backend {
-	if e.direct != nil {
-		return e.direct
-	}
-	return e.unit
-}
-
 // Cycles implements engine.Engine.
-func (e *Engine) Cycles() float64 { return e.costs.VectorCycles(e.Backend().Counts()) }
+func (e *Engine) Cycles() float64 { return e.costs.VectorCycles(e.unit.Counts()) }
 
 // Reset implements engine.Engine.
-func (e *Engine) Reset() { e.Backend().Reset() }
+func (e *Engine) Reset() { e.unit.Reset() }
 
-// Unit exposes the engine's vector unit for instruction-mix inspection
-// (nil on the direct backend, which issues no vector instructions).
+// Unit exposes the engine's vector unit for instruction-mix inspection.
 func (e *Engine) Unit() *vpu.Unit { return e.unit }
-
-// chargeMeasured charges the direct meter the instruction delta of one
-// operation, measuring it on the scratch sim engine the first time the
-// shape key appears. The scratch engine keeps its per-modulus Montgomery
-// contexts, so a shape's first measurement includes the one-time context
-// setup exactly when the sim engine would have paid it.
-func (e *Engine) chargeMeasured(key string, run func(*Engine)) {
-	c, ok := e.charges[key]
-	if !ok {
-		if e.scratch == nil {
-			e.scratch = New(WithWindow(e.window), WithConstTime(e.constTime))
-		}
-		before := e.scratch.unit.Counts()
-		run(e.scratch)
-		after := e.scratch.unit.Counts()
-		for i := range c {
-			c[i] = after[i] - before[i]
-		}
-		e.charges[key] = c
-	}
-	e.direct.Charge(c)
-}
 
 // ctx returns the cached vector Montgomery context for n, creating it on
 // first use (the per-modulus precomputation an OpenSSL BN_MONT_CTX caches).
@@ -161,22 +98,12 @@ func (e *Engine) Mul(a, b bn.Nat) bn.Nat {
 	if a.IsZero() || b.IsZero() {
 		return bn.Zero()
 	}
-	if e.direct != nil {
-		e.chargeMeasured(fmt.Sprintf("mul|%d|%d", a.LimbLen(), b.LimbLen()),
-			func(s *Engine) { s.Mul(a, b) })
-		return a.Mul(b)
-	}
 	return bn.FromLimbs(vmont.VecMul(e.unit, a.Limbs(), b.Limbs()))
 }
 
 // MulMod implements engine.Engine with one vectorized Montgomery
 // multiplication (plus domain conversions).
 func (e *Engine) MulMod(a, b, n bn.Nat) bn.Nat {
-	if e.direct != nil {
-		e.chargeMeasured("mulmod|"+n.Hex(),
-			func(s *Engine) { s.MulMod(a, b, n) })
-		return a.ModMul(b, n)
-	}
 	c := e.ctx(n)
 	return c.FromMont(c.Mul(c.ToMont(a), c.ToMont(b)))
 }
@@ -187,11 +114,6 @@ func (e *Engine) ModExp(base, exp, n bn.Nat) bn.Nat {
 	w := e.window
 	if w == 0 {
 		w = modexp.OptimalWindow(exp.BitLen())
-	}
-	if e.direct != nil {
-		e.chargeMeasured("modexp|"+n.Hex()+"|"+exp.Hex(),
-			func(s *Engine) { s.ModExp(base, exp, n) })
-		return base.ModExp(exp, n)
 	}
 	return modexp.FixedWindow(e.ctx(n), base, exp, w, e.constTime)
 }

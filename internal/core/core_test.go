@@ -8,7 +8,6 @@ import (
 	"phiopenssl/internal/bn"
 	"phiopenssl/internal/engine"
 	"phiopenssl/internal/knc"
-	"phiopenssl/internal/vpu"
 )
 
 func randOdd(rng *rand.Rand, bits int) bn.Nat {
@@ -165,51 +164,5 @@ func TestPhiBeatsBaselines(t *testing.T) {
 	}
 	if s2048o <= s512o {
 		t.Errorf("speedup should grow with size: 512->%.2fx, 2048->%.2fx", s512o, s2048o)
-	}
-}
-
-// TestDirectBackendEngine: the direct per-op engine returns the same
-// values as the sim engine, and its charged cycles for the FIRST
-// occurrence of each operation shape equal the sim's measured cost
-// exactly (the memoized measurement is taken with those very operands).
-func TestDirectBackendEngine(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	sim := New()
-	direct := New(WithBackend(vpu.BackendDirect))
-	if direct.Unit() != nil {
-		t.Fatal("direct engine should have no vector unit")
-	}
-	if direct.Backend().Kind() != vpu.BackendDirect {
-		t.Fatalf("backend kind = %v", direct.Backend().Kind())
-	}
-	a, b := randBits(rng, 512), randBits(rng, 512)
-	n := randOdd(rng, 512)
-	exp := randBits(rng, 256)
-
-	type op struct {
-		name string
-		run  func(e *Engine) bn.Nat
-	}
-	for _, o := range []op{
-		{"Mul", func(e *Engine) bn.Nat { return e.Mul(a, b) }},
-		{"MulMod", func(e *Engine) bn.Nat { return e.MulMod(a, b, n) }},
-		{"ModExp", func(e *Engine) bn.Nat { return e.ModExp(a, exp, n) }},
-	} {
-		sim.Reset()
-		direct.Reset()
-		sv := o.run(sim)
-		dv := o.run(direct)
-		if !dv.Equal(sv) {
-			t.Fatalf("%s: direct %s != sim %s", o.name, dv, sv)
-		}
-		if sc, dc := sim.Cycles(), direct.Cycles(); sc != dc {
-			t.Fatalf("%s: first-occurrence cycles %v != sim %v", o.name, dc, sc)
-		}
-		// Repeat of the same shape: charged again, from the memo.
-		before := direct.Cycles()
-		o.run(direct)
-		if after := direct.Cycles(); after != 2*before {
-			t.Fatalf("%s: memoized repeat charged %v, want %v", o.name, after-before, before)
-		}
 	}
 }

@@ -25,6 +25,11 @@
 //     still fits — lowest-weight tenants shed first because their buckets
 //     are smallest.
 //
+// Those three decisions are one Door on an explicit clock; the Controller
+// runs it on the host clock, and the virtual-time engine behind the
+// serving experiments (internal/phisim) runs the same Door on simulated
+// time.
+//
 // The fourth overload guard, the shared fault-retry budget, lives in
 // phiserve.RetryBudget and is wired via Resilience.Budget or
 // phifleet.Config.RetryBudget; see there.
@@ -68,7 +73,8 @@ type Tenant struct {
 	// ID is the tenant identifier callers pass to SubmitWork.
 	ID string
 	// Weight is the tenant's share of Capacity during a brownout, relative
-	// to the sum of all weights. <= 0 defaults to 1.
+	// to the sum of all weights plus the implicit class's 1. <= 0 defaults
+	// to 1.
 	Weight float64
 	// SLO overrides Config.SLO for this tenant's requests; zero inherits.
 	SLO time.Duration
@@ -89,14 +95,11 @@ type Config struct {
 	// tenant (or "") share one implicit weight-1 class.
 	Tenants []Tenant
 	// Capacity is the admission rate (requests/second) the tenant buckets
-	// share during a brownout; tenant i refills at Capacity*Weight_i/ΣW.
-	// <= 0 disables fair queuing — brownout then only gates on the
-	// per-request overload shed.
+	// share during a brownout; tenant i refills at
+	// Capacity*Weight_i/(ΣW+1), the +1 being the implicit class, and holds
+	// 100ms of its rate (at least one token). <= 0 disables fair queuing —
+	// brownout then only gates on the per-request overload shed.
 	Capacity float64
-	// BurstWindow sizes each tenant's bucket: rate * BurstWindow tokens
-	// (minimum 1), so a tenant can burst that far ahead of its rate before
-	// shedding starts. Defaults to 100ms.
-	BurstWindow time.Duration
 	// BrownoutEnter is the backend delay estimate at which the controller
 	// enters brownout (fair queuing switches on). Defaults to SLO/2.
 	BrownoutEnter time.Duration
@@ -117,21 +120,11 @@ type Config struct {
 	// Journeys, when non-nil, makes the door the journey's starting point:
 	// every SubmitWork begins a journey (tenant, SLO, deadline attached), sheds
 	// resolve it immediately with the shed outcome, and admissions carry it
-	// into the backend. The recorder's SLO burn rate also feeds the
-	// brownout loop (see BurnEnter), and brownout enter/exit transitions
+	// into the backend. The recorder's fleet-wide SLO burn rate also feeds
+	// the brownout loop: brownout enters at a burn of 2 and exits only
+	// once it is back to 1 or below. Brownout enter/exit transitions
 	// trigger incident snapshots.
 	Journeys *phitrace.Recorder
-	// BurnEnter is the fleet-wide SLO burn rate (bad fraction over budget,
-	// from Journeys' fast window) at or above which the controller enters
-	// brownout even while the delay estimate looks healthy — the journey
-	// stream notices deadline misses the point-in-time estimate cannot.
-	// Zero defaults to 2 (burning twice the budget) when Journeys is set;
-	// negative disables burn-fed brownout.
-	BurnEnter float64
-	// BurnExit is the burn rate the brownout exit condition additionally
-	// requires (both the estimate and the burn must look healthy before
-	// fair queuing switches off). Defaults to BurnEnter/2.
-	BurnExit float64
 	// Clock overrides time.Now for deterministic tests; nil uses real time.
 	Clock func() time.Time
 }
@@ -140,9 +133,6 @@ type Config struct {
 func (c Config) WithDefaults() Config {
 	if c.SLO <= 0 {
 		c.SLO = 50 * time.Millisecond
-	}
-	if c.BurstWindow <= 0 {
-		c.BurstWindow = 100 * time.Millisecond
 	}
 	if c.BrownoutEnter <= 0 {
 		c.BrownoutEnter = c.SLO / 2
@@ -159,31 +149,19 @@ func (c Config) WithDefaults() Config {
 	if c.Margin < 0 {
 		c.Margin = 0
 	}
-	if c.BurnEnter == 0 && c.Journeys != nil {
-		c.BurnEnter = 2
-	}
-	if c.BurnEnter < 0 {
-		c.BurnEnter = 0
-	}
-	if c.BurnExit <= 0 || c.BurnExit >= c.BurnEnter {
-		c.BurnExit = c.BurnEnter / 2
-	}
 	if c.Clock == nil {
 		c.Clock = time.Now
 	}
 	return c
 }
 
-// tenantState is one tenant's bucket and accounting, guarded by the
-// controller's mutex.
+// tenantState is one tenant's identity and accounting; the counters are
+// guarded by the controller's mutex.
 type tenantState struct {
 	id     string
+	door   int // the tenant's index in the Door
 	weight float64
 	slo    time.Duration
-	rate   float64 // tokens per second during brownout
-	burst  float64
-	tokens float64
-	last   time.Time
 	// allowed is the workload allow-list as a set; nil means every kind.
 	allowed map[phiwork.Kind]bool
 
@@ -197,23 +175,6 @@ func (t *tenantState) allows(k phiwork.Kind) bool {
 	return t.allowed == nil || t.allowed[k]
 }
 
-// refill lazily credits the bucket for the time since the last touch.
-func (t *tenantState) refill(now time.Time) {
-	if t.last.IsZero() {
-		t.last = now
-		return
-	}
-	dt := now.Sub(t.last).Seconds()
-	if dt <= 0 {
-		return
-	}
-	t.last = now
-	t.tokens += dt * t.rate
-	if t.tokens > t.burst {
-		t.tokens = t.burst
-	}
-}
-
 // Controller is the admission front end. One controller guards one
 // backend; SubmitWork is safe for concurrent use.
 type Controller struct {
@@ -222,9 +183,9 @@ type Controller struct {
 	tel     *telemetry.Telemetry
 
 	mu       sync.Mutex
+	door     *Door
 	tenants  map[string]*tenantState
 	fallback *tenantState // undeclared tenants share this class
-	brownout bool
 	enters   int64
 
 	brownoutGauge *telemetry.Gauge
@@ -238,6 +199,7 @@ type Controller struct {
 // New builds a controller in front of backend. The backend must already be
 // constructed (it is Started and Closed by its owner, not the controller).
 func New(backend Backend, cfg Config) *Controller {
+	door := NewDoor(cfg)
 	cfg = cfg.WithDefaults()
 	tel := cfg.Telemetry
 	if tel == nil || tel.Registry == nil {
@@ -252,6 +214,7 @@ func New(backend Backend, cfg Config) *Controller {
 		cfg:     cfg,
 		backend: backend,
 		tel:     tel,
+		door:    door,
 		tenants: make(map[string]*tenantState),
 		brownoutGauge: tel.Registry.Gauge("phiadmit_brownout",
 			"1 while the controller is in brownout (fair queuing enforced)"),
@@ -261,24 +224,10 @@ func New(backend Backend, cfg Config) *Controller {
 	a.tel.Registry.GaugeFunc("phiadmit_delay_estimate_seconds",
 		"backend sojourn estimate the door last sheds against",
 		func() float64 { return backend.EstimatedDelay().Seconds() })
-	var sumW float64
-	weights := make([]float64, len(cfg.Tenants))
 	for i, tn := range cfg.Tenants {
-		w := tn.Weight
-		if w <= 0 {
-			w = 1
-		}
-		weights[i] = w
-		sumW += w
+		a.tenants[tn.ID] = a.newTenant(tn.ID, i, weightOf(tn), tn.Workloads)
 	}
-	// Undeclared traffic shares one weight-1 class, which also contributes
-	// to the weight sum so declared tenants keep guaranteed shares even
-	// when anonymous traffic shows up.
-	sumW++
-	for i, tn := range cfg.Tenants {
-		a.tenants[tn.ID] = a.newTenant(tn.ID, weights[i], sumW, tn.SLO, tn.Workloads)
-	}
-	a.fallback = a.newTenant("_other", 1, sumW, 0, nil)
+	a.fallback = a.newTenant("_other", len(cfg.Tenants), 1, nil)
 	// One admitted-counter row per canonical workload kind (pre-registered
 	// so scrapes show zeros), plus a catch-all for out-of-tree kinds.
 	a.byKind = make(map[phiwork.Kind]*telemetry.Counter, len(phiwork.Kinds())+1)
@@ -294,18 +243,7 @@ func New(backend Backend, cfg Config) *Controller {
 	return a
 }
 
-func (a *Controller) newTenant(id string, w, sumW float64, slo time.Duration, kinds []phiwork.Kind) *tenantState {
-	if slo <= 0 {
-		slo = a.cfg.SLO
-	}
-	rate := 0.0
-	if a.cfg.Capacity > 0 {
-		rate = a.cfg.Capacity * w / sumW
-	}
-	burst := rate * a.cfg.BurstWindow.Seconds()
-	if burst < 1 {
-		burst = 1
-	}
+func (a *Controller) newTenant(id string, door int, w float64, kinds []phiwork.Kind) *tenantState {
 	var allowed map[phiwork.Kind]bool
 	if len(kinds) > 0 {
 		allowed = make(map[phiwork.Kind]bool, len(kinds))
@@ -316,11 +254,9 @@ func (a *Controller) newTenant(id string, w, sumW float64, slo time.Duration, ki
 	reg := a.tel.Registry
 	return &tenantState{
 		id:      id,
+		door:    door,
 		weight:  w,
-		slo:     slo,
-		rate:    rate,
-		burst:   burst,
-		tokens:  burst, // start full: a cold system admits a burst cleanly
+		slo:     a.door.buckets[door].slo,
 		allowed: allowed,
 		mAdmitted: reg.Counter("phiadmit_admitted_total",
 			"requests admitted to the backend", "tenant", id),
@@ -367,12 +303,9 @@ func (a *Controller) SubmitWork(ctx context.Context, tenant string, w phiwork.Wo
 	// condemned it. The burn rate comes from the same journey stream, read
 	// before the lock — the recorder has its own (finer) lock discipline.
 	var burn float64
-	rec := a.cfg.Journeys
-	if rec != nil && a.cfg.BurnEnter > 0 {
-		burn = rec.BurnRate("", rec.FastWindow())
-	}
 	var journey *phitrace.Journey
-	if rec != nil {
+	if rec := a.cfg.Journeys; rec != nil {
+		burn = rec.BurnRate("", rec.FastWindow())
 		journey = rec.BeginWork(ts.id, w.Tag(), string(w.Kind()), now.Add(ts.slo), ts.slo)
 		journey.Event("workload", -1, string(w.Kind()))
 		journey.Event("door", -1, "est="+est.Round(time.Microsecond).String())
@@ -390,70 +323,48 @@ func (a *Controller) SubmitWork(ctx context.Context, tenant string, w phiwork.Wo
 	}
 
 	a.mu.Lock()
-	// Hysteresis: enter at the high threshold, leave only below the low
-	// one. Between the two the current state holds, so the controller
-	// cannot flap when the estimate hovers at a threshold. The SLO burn
-	// rate is a second entry signal — sustained deadline misses show up in
-	// the journey stream before the point-in-time estimate looks scary —
-	// and exit additionally requires the burn to have cooled.
-	transition := ""
-	enter := est >= a.cfg.BrownoutEnter ||
-		(a.cfg.BurnEnter > 0 && burn >= a.cfg.BurnEnter)
-	exit := est <= a.cfg.BrownoutExit &&
-		(a.cfg.BurnEnter <= 0 || burn <= a.cfg.BurnExit)
-	if !a.brownout && enter {
-		a.brownout = true
+	v := a.door.Decide(now, ts.door, est, burn)
+	switch v.Transition {
+	case "enter":
 		a.enters++
 		a.brownoutGauge.Set(1)
 		a.brownoutCount.Inc()
-		transition = "enter"
-	} else if a.brownout && exit {
-		a.brownout = false
+	case "exit":
 		a.brownoutGauge.Set(0)
-		transition = "exit"
 	}
-	// Overload shed: if the backlog alone eats the budget (less the error
-	// margin), the request cannot finish in time — reject now.
-	if float64(est) > float64(ts.slo)*(1-a.cfg.Margin) {
+	switch v.Shed {
+	case ErrShedOverload:
 		ts.shedOverload++
-		a.mu.Unlock()
-		ts.mShedOverload.Inc()
-		journey.Finish(phitrace.OutcomeShedOverload, "est="+est.Round(time.Microsecond).String())
-		a.noteBrownout(transition, est, burn)
-		return nil, ErrShedOverload
+	case ErrShedTenant:
+		ts.shedTenant++
 	}
-	// Brownout fair queuing: while overloaded, each tenant spends tokens
-	// refilled at its weighted share of Capacity. Outside brownout the
-	// buckets refill but are not charged, so light load is never shaped.
-	charged := false
-	if a.brownout && ts.rate > 0 {
-		ts.refill(now)
-		if ts.tokens < 1 {
-			ts.shedTenant++
-			a.mu.Unlock()
-			ts.mShedTenant.Inc()
-			journey.Finish(phitrace.OutcomeShedTenant, "brownout fair queue")
-			a.noteBrownout(transition, est, burn)
-			return nil, ErrShedTenant
-		}
-		ts.tokens--
-		charged = true
-	}
-	deadline := now.Add(ts.slo)
 	a.mu.Unlock()
-	a.noteBrownout(transition, est, burn)
+	switch v.Shed {
+	case ErrShedOverload:
+		ts.mShedOverload.Inc()
+		if journey != nil {
+			journey.Finish(phitrace.OutcomeShedOverload, "est="+est.Round(time.Microsecond).String())
+		}
+	case ErrShedTenant:
+		ts.mShedTenant.Inc()
+		journey.Finish(phitrace.OutcomeShedTenant, "brownout fair queue")
+	}
+	a.noteBrownout(v.Transition, est, burn)
+	if v.Shed != nil {
+		return nil, v.Shed
+	}
 
 	ch, err := a.backend.SubmitWork(ctx, w, in, phiserve.SubmitOpts{
 		Tenant:   ts.id,
-		Deadline: deadline,
+		Deadline: now.Add(ts.slo),
 		Journey:  journey,
 	})
 	if err != nil {
 		// The backend refused (closed, canceled, its own shed): the
 		// request never entered, so the token it was charged comes back.
-		if charged {
+		if v.Charged {
 			a.mu.Lock()
-			ts.tokens++
+			a.door.Refund(ts.door)
 			a.mu.Unlock()
 		}
 		journey.Finish(phiserve.JourneyOutcome(err), err.Error())
@@ -522,7 +433,7 @@ type Stats struct {
 func (a *Controller) Stats() Stats {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	st := Stats{Brownout: a.brownout, BrownoutEnters: a.enters}
+	st := Stats{Brownout: a.door.brownout, BrownoutEnters: a.enters}
 	add := func(t *tenantState) {
 		st.Tenants = append(st.Tenants, TenantStats{
 			ID: t.id, Weight: t.weight,

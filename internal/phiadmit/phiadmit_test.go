@@ -11,6 +11,7 @@ import (
 	"phiopenssl/internal/bn"
 	"phiopenssl/internal/engine"
 	"phiopenssl/internal/phiserve"
+	"phiopenssl/internal/phitrace"
 	"phiopenssl/internal/phiwork"
 	"phiopenssl/internal/rsakit"
 	"phiopenssl/internal/vpu"
@@ -269,5 +270,52 @@ func TestControllerOverRealServer(t *testing.T) {
 	}
 	if st := s.Stats(); st.Completed != 1 {
 		t.Fatalf("server stats: %+v", st)
+	}
+}
+
+// stubBackend hands back one prebuilt channel, so SubmitWork's
+// allocations over it are the door's own.
+type stubBackend struct {
+	ch  chan phiserve.Result
+	est time.Duration
+}
+
+func (b *stubBackend) SubmitWork(context.Context, phiwork.Workload, phiwork.Input, phiserve.SubmitOpts) (<-chan phiserve.Result, error) {
+	return b.ch, nil
+}
+
+func (b *stubBackend) EstimatedDelay() time.Duration { return b.est }
+
+// TestSubmitWorkAllocs pins SubmitWork's allocations on every door path:
+// none without journeys; with journeys, two per admission and four per
+// shed.
+func TestSubmitWorkAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		est      time.Duration
+		capacity float64
+		journeys bool
+		want     float64
+	}{
+		{"admit", 0, 1e9, false, 0},
+		{"admit-charged", 60 * time.Millisecond, 1e9, false, 0},
+		{"shed-overload", 90 * time.Millisecond, 1e9, false, 0},
+		{"shed-tenant", 60 * time.Millisecond, 1e-9, false, 0},
+		{"admit-journeys", 0, 1e9, true, 2},
+		{"admit-charged-journeys", 60 * time.Millisecond, 1e9, true, 2},
+		{"shed-overload-journeys", 90 * time.Millisecond, 1e9, true, 4},
+		{"shed-tenant-journeys", 60 * time.Millisecond, 1e-9, true, 4},
+	} {
+		cfg := Config{SLO: 100 * time.Millisecond, Capacity: tc.capacity,
+			Tenants: []Tenant{{ID: "t", Weight: 2}}, Clock: newFakeClock().now}
+		if tc.journeys {
+			cfg.Journeys = phitrace.New(phitrace.Config{})
+		}
+		a := New(&stubBackend{ch: make(chan phiserve.Result, 1), est: tc.est}, cfg)
+		w, in := stubWL(), phiwork.Input{A: bn.One()}
+		got := testing.AllocsPerRun(100, func() { a.SubmitWork(context.Background(), "t", w, in) })
+		if got > tc.want {
+			t.Errorf("%s: %.0f allocations per SubmitWork, want <= %.0f", tc.name, got, tc.want)
+		}
 	}
 }

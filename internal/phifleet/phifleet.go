@@ -41,7 +41,7 @@ import (
 	"phiopenssl/internal/telemetry"
 )
 
-// cardSeedOffset separates per-card fault/jitter seed streams from the
+// cardSeedOffset separates per-card fault seed streams from the
 // per-worker streams each card derives internally.
 const cardSeedOffset = 0x70686966 // "phif"
 
@@ -51,8 +51,8 @@ type Config struct {
 	Cards int
 	// Card is the per-card server configuration template. Card, Labels,
 	// Telemetry, Journeys and Redispatch are owned by the fleet and
-	// overwritten; fault and jitter seeds are re-derived per card so
-	// sibling cards are independent fault domains.
+	// overwritten; fault seeds are re-derived per card so sibling cards
+	// are independent fault domains.
 	Card phiserve.Config
 	// CardFaults, when non-nil, overrides Card.Resilience.Faults per
 	// card: CardFaults[i] (nil entries keep the template) is card i's
@@ -62,9 +62,6 @@ type Config struct {
 	// Replicas is how many cards a hot key spreads over (clamped to
 	// Cards). Defaults to 2.
 	Replicas int
-	// VNodes is the consistent-hash ring's virtual nodes per card.
-	// Defaults to 16.
-	VNodes int
 	// MaxHops bounds how many times work stealing may move one request
 	// between cards. Defaults to 3.
 	MaxHops int
@@ -96,9 +93,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Replicas > c.Cards {
 		c.Replicas = c.Cards
-	}
-	if c.VNodes < 1 {
-		c.VNodes = 16
 	}
 	if c.MaxHops < 1 {
 		c.MaxHops = 3
@@ -145,7 +139,7 @@ func New(cfg Config) (*Fleet, error) {
 	}
 	f := &Fleet{
 		cfg:  cfg,
-		ring: newRing(cfg.Cards, cfg.VNodes),
+		ring: newRing(cfg.Cards),
 		tel:  tel,
 	}
 	for reason := phiserve.StealPartialDeadline; reason <= phiserve.StealDegraded; reason++ {
@@ -202,7 +196,6 @@ func New(cfg Config) (*Fleet, error) {
 		cc.Card = i
 		cc.Labels = append(append([]string(nil), cfg.Card.Labels...),
 			"card", strconv.Itoa(i))
-		cc.Resilience.Seed = cc.Resilience.Seed + cardSeedOffset + int64(i)
 		if cfg.RetryBudget != nil {
 			cc.Resilience.Budget = cfg.RetryBudget
 		}
@@ -477,10 +470,8 @@ func (f *Fleet) DoWork(ctx context.Context, w phiwork.Workload, in phiwork.Input
 // serialize the drains for no benefit. Close is idempotent.
 func (f *Fleet) Close() {
 	f.mu.Lock()
-	alreadyClosed := f.closed
 	f.closed = true
 	f.mu.Unlock()
-	_ = alreadyClosed // card Close is idempotent; repeat closes are harmless
 	var wg sync.WaitGroup
 	for _, c := range f.cards {
 		wg.Add(1)

@@ -31,7 +31,10 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// ring is a consistent-hash ring over card indexes: each card owns VNodes
+// vnodes is the consistent-hash ring's virtual nodes per card.
+const vnodes = 16
+
+// ring is a consistent-hash ring over card indexes: each card owns vnodes
 // points, keys land on the next point clockwise. Consistent hashing keeps
 // the key→card map stable when the fleet is resized between runs — only
 // the keys on moved points change owners — which matters because a key's
@@ -46,7 +49,7 @@ type ringPoint struct {
 	card int
 }
 
-func newRing(cards, vnodes int) *ring {
+func newRing(cards int) *ring {
 	r := &ring{cards: cards}
 	for c := 0; c < cards; c++ {
 		for v := 0; v < vnodes; v++ {
@@ -88,7 +91,7 @@ func (r *ring) orderOf(h uint64) []int {
 // a cards-card fleet: where the live router homes a key hashing to h.
 func HomeCard(cards int, h uint64) int {
 	c := Config{Cards: cards}.withDefaults()
-	return newRing(c.Cards, c.VNodes).orderOf(h)[0]
+	return newRing(c.Cards).orderOf(h)[0]
 }
 
 // hotTracker watches per-workload arrival rates. A workload is hot while

@@ -11,7 +11,7 @@ import (
 // TestRingProperties: the ring's order is deterministic, covers every
 // card exactly once, and distributes keys reasonably.
 func TestRingProperties(t *testing.T) {
-	r := newRing(4, 16)
+	r := newRing(4)
 	keys, _, _ := keySet(t, 12)
 	counts := make([]int, 4)
 	for _, k := range keys {

@@ -82,7 +82,6 @@ func TestHalfOpenProbeConcurrentSubmits(t *testing.T) {
 			BreakerThreshold:  0.5,
 			BreakerMinSamples: 2,
 			BreakerCooldown:   5 * time.Millisecond,
-			Seed:              11,
 			Faults:            &faultsim.Config{Seed: 5, Script: script},
 		},
 	})

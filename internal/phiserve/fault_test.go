@@ -61,7 +61,6 @@ func TestInjectedBitFlipsNeverEscape(t *testing.T) {
 		Workers:      4,
 		FillDeadline: 200 * time.Millisecond,
 		Resilience: Resilience{
-			Seed:             1,
 			BreakerThreshold: 2, // never trips: isolate retry/degrade behaviour
 			Faults: &faultsim.Config{
 				Seed:         7,
@@ -351,7 +350,6 @@ func TestFaultHammer(t *testing.T) {
 		QueueDepth:   8,
 		FillDeadline: 50 * time.Millisecond,
 		Resilience: Resilience{
-			Seed: 11,
 			Faults: &faultsim.Config{
 				Seed:         13,
 				LaneFlipRate: rate,

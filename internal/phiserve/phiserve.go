@@ -37,9 +37,9 @@
 //
 // Execution is verified and survivable (see resilience.go): verifying
 // workloads run the Bellcore re-encryption check per lane, transient
-// fault-detected lanes retry on fresh batches with exponential backoff
-// and degrade to the workload's scalar path after MaxRetries, stalled
-// workers are detected by an execution timeout and respawned, and a
+// fault-detected lanes retry immediately on fresh batches and degrade to
+// the workload's scalar path after MaxRetries, stalled workers are
+// detected by an execution timeout and respawned, and a
 // circuit breaker trips on the rolling pass-fault rate — while open,
 // submissions bypass the vector path entirely and half-open probe
 // batches test recovery.
@@ -324,7 +324,7 @@ type Server struct {
 	// path so the drain can finish.
 	release     chan struct{}
 	releaseOnce sync.Once
-	// workerSeq numbers worker states for per-worker fault/jitter seeds;
+	// workerSeq numbers worker states for per-worker fault seeds;
 	// respawned workers get fresh numbers (fresh schedules).
 	workerSeq atomic.Int64
 	// passWall is the EWMA of recent heavy-class kernel-pass host wall

@@ -2,7 +2,6 @@ package phiserve
 
 import (
 	"fmt"
-	mrand "math/rand"
 	"time"
 
 	"phiopenssl/internal/baseline"
@@ -21,17 +20,14 @@ import (
 // when a worker stalls, and when faults become frequent enough that the
 // vector path should be abandoned wholesale.
 //
-// All randomness — fault schedules and retry jitter — is seeded, so a
-// given configuration replays bit-identically.
+// Fault schedules are seeded, so a given configuration replays
+// bit-identically, and a retry pass runs as soon as the faulted pass
+// ends.
 type Resilience struct {
 	// MaxRetries is how many fresh-batch vector retries a fault-detected
 	// lane gets before degrading to the scalar fallback. 0 means the
 	// default (2); -1 disables retries (first fault degrades).
 	MaxRetries int
-	// RetryBackoff is the base host-time delay before the first retry
-	// pass; it doubles per attempt, with seeded jitter drawn from
-	// [base/2, base] of the doubled value. 0 retries immediately.
-	RetryBackoff time.Duration
 	// ExecTimeout bounds one batch execution on a worker. A batch still
 	// running after it is declared stalled: the worker respawns with a
 	// fresh vector unit (and fresh fault schedule), and the batch is
@@ -60,9 +56,6 @@ type Resilience struct {
 	// hands one budget to every card so fault recovery is capped
 	// globally and cannot amplify an overload. Nil grants everything.
 	Budget *RetryBudget
-	// Seed drives retry jitter (per-worker streams derived from it). The
-	// fault schedule has its own seed inside Faults.
-	Seed int64
 	// Faults, when non-nil and enabled, attaches a deterministic fault
 	// injector to every worker's vector unit, with per-worker schedules
 	// derived from Faults.Seed. Respawned workers draw fresh schedules.
@@ -92,24 +85,18 @@ func (r Resilience) WithDefaults() Resilience {
 	return r
 }
 
-// jitterSeedOffset separates the retry-jitter seed stream from the fault
-// stream when both derive from the same top-level seed.
-const jitterSeedOffset = 0x6a69747465 // "jitte"
-
 // worker is one simulated hardware thread's private state: its kernel
 // backend (interpreted unit or direct-arithmetic meter, per
 // Config.Backend), its (optional) fault injector, a lazily built scalar
-// engine for the fallback path, and a seeded jitter source. Respawned
-// workers get a fresh index, hence fresh deterministic streams (and a
-// fresh trace track, so a respawn is visible as a new named row in
-// Perfetto).
+// engine for the fallback path. Respawned workers get a fresh index,
+// hence a fresh deterministic fault stream (and a fresh trace track, so
+// a respawn is visible as a new named row in Perfetto).
 type worker struct {
 	id      int
 	track   int64 // trace track: the server's ctl() + 1 + id
 	backend vpu.Backend
 	inj     *faultsim.Injector
 	scalar  engine.Engine
-	rng     *mrand.Rand
 	// meter accumulates this worker's lifetime cycle attribution across
 	// passes; its running total rides along in the pass trace events.
 	meter *knc.Meter
@@ -136,9 +123,7 @@ func (s *Server) newWorker() *worker {
 		id:      idx,
 		track:   s.ctl() + 1 + int64(idx),
 		backend: vpu.NewBackend(s.cfg.Backend),
-		rng: mrand.New(mrand.NewSource(
-			faultsim.Config{Seed: r.Seed + jitterSeedOffset}.ForWorker(idx).Seed)),
-		meter: knc.NewVectorMeter(knc.KNCVectorCosts),
+		meter:   knc.NewVectorMeter(knc.KNCVectorCosts),
 	}
 	if r.Faults != nil && r.Faults.Enabled() {
 		w.inj = faultsim.New(r.Faults.ForWorker(idx))
@@ -168,8 +153,8 @@ func liveReqs(reqs []*request) []*request {
 //
 //	fallback batch, or breaker open  -> scalar path
 //	injected stall                   -> park until release/timeout respawn
-//	kernel failure / faulted lanes   -> breaker feedback, bounded retries
-//	                                    with backoff, then scalar fallback
+//	kernel failure / faulted lanes   -> breaker feedback, bounded
+//	                                    immediate retries, then scalar fallback
 //
 // Clean lanes resolve as soon as their pass verifies; only faulted lanes
 // ride into the retry passes.
@@ -347,12 +332,6 @@ func (s *Server) runBatch(w *worker, b *batch) {
 		}
 		s.tracer.Instant(w.tid(), "retry",
 			telemetry.Args{"lanes": len(faulted), "attempt": attempt})
-		if !s.backoff(w, attempt) {
-			for _, q := range faulted {
-				s.finish(q, Result{Err: ErrCanceled}, nil)
-			}
-			return
-		}
 		pending = faulted
 	}
 }
@@ -402,33 +381,6 @@ func (s *Server) tracePass(w *worker, b *batch, start time.Time, bd *phiwork.Bre
 // and false when the server was canceled (fail leftovers).
 func (s *Server) awaitStallRelease() bool {
 	select {
-	case <-s.release:
-		return true
-	case <-s.ctx.Done():
-		return false
-	}
-}
-
-// backoff sleeps before retry pass `attempt` (1-based): exponential in the
-// attempt with jitter drawn from the worker's seeded stream. It returns
-// false when the server was canceled mid-sleep; a graceful Close instead
-// cuts the sleep short and retries immediately.
-func (s *Server) backoff(w *worker, attempt int) bool {
-	base := s.cfg.Resilience.RetryBackoff
-	if base <= 0 {
-		return true
-	}
-	d := base << uint(attempt-1)
-	half := d / 2
-	j := d
-	if half > 0 {
-		j = half + time.Duration(w.rng.Int63n(int64(half)+1))
-	}
-	t := time.NewTimer(j)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
 	case <-s.release:
 		return true
 	case <-s.ctx.Done():

@@ -13,9 +13,11 @@
 //   - Arrivals are Poisson at the offered rate. Each draws its gap, then its
 //     tenant when Config has tenants, then its key when there is more than
 //     one. All are drawn before the run starts.
-//   - The door, when on, estimates the home card's delay, keeps brownout
+//   - The door, when on, estimates the home card's delay and hands it to
+//     the live phiadmit.Door on the virtual clock, which keeps brownout
 //     hysteresis, sheds requests the estimate puts past their SLO budget
-//     and, in brownout, shapes tenants with weighted token buckets.
+//     and, in brownout, shapes tenants with weighted token buckets
+//     refilled from the fleet's capacity.
 //   - Per-key batches seal at BatchSize lanes or at the fill deadline.
 //     After the final arrival, every batch still open dispatches at that
 //     arrival, as the live Server.Close flushes them; the engine takes
@@ -105,7 +107,8 @@ type Faults struct {
 }
 
 // Door is the admission door's setting; zero fields take the live
-// phiadmit defaults.
+// phiadmit defaults. The door's tenants are Config.Tenants and its
+// Capacity is Config.Capacity.
 type Door struct {
 	// Margin is the fraction of each budget held back for estimate error.
 	Margin float64
@@ -247,26 +250,21 @@ type batch struct {
 	home   int
 }
 
-// bucket is one tenant's brownout token bucket.
-type bucket struct{ rate, burst, tokens, last float64 }
-
 // run is one simulation's state.
 type run struct {
 	Config
-	rng      *rand.Rand
-	tenants  []Tenant
-	homes    []int
-	reqs     []request
-	open     []*batch    // open[key]: the key's filling batch
-	free     [][]float64 // free[card][worker]: when the worker next idles
-	brk      []*phiserve.Breaker
-	retries  int     // live vector retry limit
-	now      float64 // the breakers' clock: the pass being decided
-	rec      *phitrace.Recorder
-	vnow     float64 // the recorder's clock: the latest instant it was told
-	door     phiadmit.Config
-	buckets  []bucket
-	brownout bool
+	rng     *rand.Rand
+	tenants []Tenant
+	homes   []int
+	reqs    []request
+	open    []*batch    // open[key]: the key's filling batch
+	free    [][]float64 // free[card][worker]: when the worker next idles
+	brk     []*phiserve.Breaker
+	retries int     // live vector retry limit
+	now     float64 // the breakers' clock: the pass being decided
+	rec     *phitrace.Recorder
+	vnow    float64 // the recorder's clock: the latest instant it was told
+	door    *phiadmit.Door
 
 	pt                                        Point
 	lats                                      []float64
@@ -310,10 +308,16 @@ func (c Config) Simulate(rng *rand.Rand, n int, offered float64) (Point, *phitra
 		r.rec = phitrace.New(rc)
 	}
 	if c.Door != nil {
-		r.door = phiadmit.Config{SLO: c.SLO, Margin: c.Door.Margin,
+		// Door tenant i is Config tenant i; without tenants the one
+		// anonymous tenant is the door's implicit class, index 0 too.
+		tenants := make([]phiadmit.Tenant, len(c.Tenants))
+		for i, tn := range c.Tenants {
+			tenants[i] = phiadmit.Tenant{ID: tn.ID, Weight: tn.Weight}
+		}
+		r.door = phiadmit.NewDoor(phiadmit.Config{SLO: c.SLO, Tenants: tenants,
+			Capacity: c.Capacity(), Margin: c.Door.Margin,
 			BrownoutEnter: c.Door.BrownoutEnter, BrownoutExit: c.Door.BrownoutExit,
-			Journeys: r.rec}.WithDefaults()
-		r.fillBuckets()
+			Journeys: r.rec})
 	}
 	r.pt = Point{Offered: offered, Requests: n, Tenants: make([]TenantPoint, len(r.tenants))}
 	for i, tn := range r.tenants {
@@ -385,27 +389,6 @@ func (r *run) arrive(n int, offered float64) {
 	}
 }
 
-// fillBuckets gives each tenant a full bucket refilling at its weighted
-// share of the fleet capacity, as the door does with Capacity set.
-func (r *run) fillBuckets() {
-	weight := func(tn Tenant) float64 {
-		if tn.Weight <= 0 {
-			return 1
-		}
-		return tn.Weight
-	}
-	var sumW float64
-	for _, tn := range r.tenants {
-		sumW += weight(tn)
-	}
-	capacity := r.Capacity()
-	for _, tn := range r.tenants {
-		rate := capacity * weight(tn) / sumW
-		burst := math.Max(rate*r.door.BurstWindow.Seconds(), 1)
-		r.buckets = append(r.buckets, bucket{rate: rate, burst: burst, tokens: burst})
-	}
-}
-
 // clock stamps simulated instant t for the recorder, whose clock is the
 // latest instant it has been told.
 func (r *run) clock(t float64) time.Time {
@@ -460,49 +443,34 @@ func (r *run) seal(upTo, end float64) {
 
 // admit runs the door for q, homed on card; false means q was shed.
 func (r *run) admit(q *request, card int, at time.Time) bool {
-	d := &r.door
 	// The estimate: the fill wait, the wait for the home card's
 	// earliest-free worker, and one full pass.
 	wait := math.Max(r.free[card][r.earliest(card)]-q.at, 0)
 	est := r.FillDeadline.Seconds() + wait + r.pass(lanes)
 	q.j.EventAt(at, "door", -1, r.note("est=%.1fms", est*1e3))
 	var burn float64
-	if d.BurnEnter > 0 {
+	if r.rec != nil {
 		burn = r.rec.BurnRate("", r.rec.FastWindow())
 	}
-	enter := est >= d.BrownoutEnter.Seconds() || (d.BurnEnter > 0 && burn >= d.BurnEnter)
-	exit := est <= d.BrownoutExit.Seconds() && (d.BurnEnter <= 0 || burn <= d.BurnExit)
-	switch {
-	case !r.brownout && enter:
-		r.brownout = true
-		r.pt.Brownouts++
-		r.rec.TriggerAt(at, "brownout-enter", map[string]any{"est_ms": est * 1e3, "burn": burn})
-	case r.brownout && exit:
-		r.brownout = false
-		r.rec.TriggerAt(at, "brownout-exit", map[string]any{"est_ms": est * 1e3, "burn": burn})
+	v := r.door.Decide(at, q.tenant, secs(est), burn)
+	if v.Transition != "" {
+		if v.Transition == "enter" {
+			r.pt.Brownouts++
+		}
+		r.rec.TriggerAt(at, "brownout-"+v.Transition, map[string]any{"est_ms": est * 1e3, "burn": burn})
 	}
 	tp := &r.pt.Tenants[q.tenant]
-	if est > r.SLO.Seconds()*(1-d.Margin) {
+	switch v.Shed {
+	case phiadmit.ErrShedOverload:
 		r.pt.ShedOverload++
 		tp.ShedOverload++
 		q.j.FinishAt(at, phitrace.OutcomeShedOverload, r.note("est=%.1fms", est*1e3))
-		return false
+	case phiadmit.ErrShedTenant:
+		r.pt.ShedTenant++
+		tp.ShedTenant++
+		q.j.FinishAt(at, phitrace.OutcomeShedTenant, "brownout fair queue")
 	}
-	if r.brownout {
-		b := &r.buckets[q.tenant]
-		if dt := q.at - b.last; dt > 0 {
-			b.tokens = math.Min(b.tokens+dt*b.rate, b.burst)
-		}
-		b.last = q.at
-		if b.tokens < 1 {
-			r.pt.ShedTenant++
-			tp.ShedTenant++
-			q.j.FinishAt(at, phitrace.OutcomeShedTenant, "brownout fair queue")
-			return false
-		}
-		b.tokens--
-	}
-	return true
+	return v.Shed == nil
 }
 
 // dispatch runs batch b, sealed at instant at, to completion on its

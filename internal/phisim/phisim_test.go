@@ -2,6 +2,7 @@ package phisim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -120,6 +121,64 @@ func TestValidation(t *testing.T) {
 		mutate(&c)
 		if _, _, err := c.Simulate(rng, 10, 100); err == nil {
 			t.Errorf("%s: invalid config accepted", name)
+		}
+	}
+}
+
+// TestDoorRefillsAtLiveRate pins the engine's door to the live one: in a
+// run that never leaves brownout, each tenant's admissions equal its live
+// allowance, burst + span × Capacity × w/(ΣW+1), within one token. The +1
+// is the live door's implicit class; a bucket refilled at Capacity × w/ΣW
+// admits 15/14 of the allowance for this 10:3:1 mix.
+func TestDoorRefillsAtLiveRate(t *testing.T) {
+	const n, seed = 30000, 3
+	c := Config{
+		Machine: knc.Default(), Cards: 1, Workers: 8,
+		FillDeadline: time.Millisecond, SLO: time.Hour,
+		Tenants: []Tenant{
+			{ID: "gold", Share: 0.5, Weight: 10},
+			{ID: "silver", Share: 0.3, Weight: 3},
+			{ID: "bronze", Share: 0.2, Weight: 1},
+		},
+		// Both thresholds sit below the estimate's floor (the fill
+		// deadline plus one pass), so the first arrival enters brownout
+		// and no later one leaves it; no estimate reaches the SLO.
+		Door: &Door{BrownoutEnter: time.Millisecond, BrownoutExit: time.Millisecond / 2},
+	}
+	for f := 1; f <= lanes; f++ {
+		c.CostPerFill[f] = 9.5e6
+	}
+	capacity := c.Capacity()
+	offered := 10 * capacity
+	pt, _, err := c.Simulate(rand.New(rand.NewSource(seed)), n, offered)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pt.Brownouts != 1 || pt.ShedOverload != 0 {
+		t.Fatalf("want one brownout and no overload shed: %+v", pt)
+	}
+	// Replay the arrivals for each tenant's first and last arrival: its
+	// bucket's first and last touch.
+	r := &run{Config: c, rng: rand.New(rand.NewSource(seed)), tenants: c.Tenants, homes: []int{0}}
+	r.arrive(n, offered)
+	first, last := make([]float64, len(c.Tenants)), make([]float64, len(c.Tenants))
+	for i := len(r.reqs) - 1; i >= 0; i-- {
+		q := r.reqs[i]
+		if last[q.tenant] == 0 {
+			last[q.tenant] = q.at
+		}
+		first[q.tenant] = q.at
+	}
+	sumW := 1.0 // the implicit class
+	for _, tn := range c.Tenants {
+		sumW += tn.Weight
+	}
+	for i, tn := range c.Tenants {
+		rate := capacity * tn.Weight / sumW
+		burst := max(rate/10, 1) // 100 ms of the rate, at least one token
+		allowance := burst + (last[i]-first[i])*rate
+		if got := float64(pt.Tenants[i].Admitted); math.Abs(got-allowance) > 1 {
+			t.Errorf("%s admitted %.0f, live allowance %.1f (ratio %.4f)", tn.ID, got, allowance, got/allowance)
 		}
 	}
 }

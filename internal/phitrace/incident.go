@@ -9,6 +9,14 @@ import (
 	"phiopenssl/internal/telemetry"
 )
 
+// The incident flight recorder keeps the newest maxIncidents snapshots,
+// overwriting the oldest, and each carries the incidentJourneys most
+// recent kept journeys.
+const (
+	maxIncidents     = 16
+	incidentJourneys = 8
+)
+
 // Incident is one flight-recorder snapshot: the trigger, the recent kept
 // journeys leading up to it, the per-tenant SLO burn at that moment, any
 // registered component snapshots (e.g. per-card fleet stats), and a JSON
@@ -64,7 +72,7 @@ func (r *Recorder) TriggerAt(at time.Time, kind string, fields map[string]any) {
 		return
 	}
 	r.lastTrigger[kind] = at
-	recent := r.keptLocked(r.cfg.IncidentJourneys)
+	recent := r.keptLocked(incidentJourneys)
 	burn := make(map[string]map[string]float64, len(r.burn))
 	for tenant, tb := range r.burn {
 		label := tenant

@@ -31,12 +31,6 @@ type Config struct {
 	// BurnBudget is the SLO error budget: the bad-request fraction at
 	// which the burn rate reads 1.0 (default 0.05).
 	BurnBudget float64
-	// MaxIncidents bounds the incident flight recorder (default 16; the
-	// oldest incident is overwritten).
-	MaxIncidents int
-	// IncidentJourneys is how many recent kept journeys each incident
-	// snapshot carries (default 8).
-	IncidentJourneys int
 	// IncidentCooldown suppresses repeat triggers of the same incident
 	// kind (default 1s).
 	IncidentCooldown time.Duration
@@ -78,12 +72,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BurnBudget <= 0 {
 		c.BurnBudget = 0.05
-	}
-	if c.MaxIncidents <= 0 {
-		c.MaxIncidents = 16
-	}
-	if c.IncidentJourneys <= 0 {
-		c.IncidentJourneys = 8
 	}
 	if c.IncidentCooldown <= 0 {
 		c.IncidentCooldown = time.Second
@@ -213,7 +201,7 @@ func New(cfg Config) *Recorder {
 		burnGauged:  make(map[string]bool),
 	}
 	r.ring = make([]*Journey, r.cfg.RingSize)
-	r.incidents = make([]Incident, r.cfg.MaxIncidents)
+	r.incidents = make([]Incident, maxIncidents)
 	reg := r.cfg.Telemetry.Reg()
 	load := func(a *atomic.Int64) func() float64 {
 		return func() float64 { return float64(a.Load()) }

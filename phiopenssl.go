@@ -98,19 +98,6 @@ func NewPhiEngine(window int, constTime bool) Engine {
 	return core.New(core.WithWindow(window), core.WithConstTime(constTime))
 }
 
-// NewPhiEngineOn returns a PhiOpenSSL engine on an explicit execution
-// backend — e.g. a pool factory serving live traffic can pick
-// BackendDirect: func() Engine { return NewPhiEngineOn(BackendDirect) }.
-// The per-op engine defaults to the cycle-exact sim (it is the
-// measurement surface); its direct mode charges memoized per-shape
-// measurements, approximate for repeated shapes with different operand
-// values (see core.WithBackend). The batch serving path
-// (BatchServerConfig.Backend, RSAPrivateBatchOn) is exact on both
-// backends.
-func NewPhiEngineOn(kind BackendKind) Engine {
-	return core.New(core.WithBackend(kind))
-}
-
 // Nat is an arbitrary-precision natural number (see internal/bn).
 type Nat = bn.Nat
 

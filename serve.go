@@ -33,8 +33,8 @@ type BatchResult = phiserve.Result
 type BatchServerStats = phiserve.Stats
 
 // BatchServerResilience is the server's survival policy for a faulty
-// coprocessor: retry budget and backoff for fault-detected lanes, the
-// stall-detection execution timeout, circuit-breaker parameters, and
+// coprocessor: the retry limit for fault-detected lanes (retries run
+// immediately, on fresh batches), the stall-detection execution timeout, circuit-breaker parameters, and
 // (for tests and experiments) deterministic fault injection. The zero
 // value gives sensible defaults; execution is always verified — every
 // plaintext a BatchServer releases passed the Bellcore re-encryption
@@ -95,8 +95,8 @@ type Fleet = phifleet.Fleet
 
 // FleetConfig parameterizes a Fleet: card count, the per-card
 // BatchServerConfig template (fault seeds are re-derived per card so
-// sibling cards fail independently), hot-key replica count, hash-ring
-// vnodes, and the steal hop budget.
+// sibling cards fail independently), hot-key replica count, and the
+// steal hop budget. The hash ring places 16 virtual nodes per card.
 type FleetConfig = phifleet.Config
 
 // FleetStats is the two-level snapshot: every card's BatchServerStats,
@@ -105,7 +105,7 @@ type FleetConfig = phifleet.Config
 type FleetStats = phifleet.Stats
 
 // NewFleet validates cfg (zero values get defaults: 2 cards, 2 replicas,
-// 16 vnodes, 3 steal hops) and builds a stopped fleet; call Start,
+// 3 steal hops) and builds a stopped fleet; call Start,
 // SubmitWork/DoWork, then Close.
 func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	return phifleet.New(cfg)

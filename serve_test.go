@@ -130,7 +130,6 @@ func TestFacadeBatchServerResilience(t *testing.T) {
 		FillDeadline: 5 * time.Millisecond,
 		Resilience: phiopenssl.BatchServerResilience{
 			MaxRetries: 2,
-			Seed:       1,
 			Faults: &phiopenssl.FaultInjection{
 				Seed:   2,
 				Script: []phiopenssl.FaultPassOutcome{phiopenssl.FaultPassKernelFail},
