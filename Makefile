@@ -57,15 +57,18 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzModExp$$' -fuzztime $(FUZZTIME) ./internal/bn
 
 # bench-smoke runs each direct-backend kernel benchmark once, the cells
-# BENCH_backend.json is recorded from: go test ./... never runs
-# benchmarks, so without it they could stop building or running
-# unnoticed. One iteration per cell is a smoke check, not a measurement.
+# BENCH_backend.json is recorded from, and one leg of A11's light-lane
+# benchmark (BENCH_workloads.json's light_lane_isolation_ms): go test
+# ./... never runs benchmarks, so without it they could stop building or
+# running unnoticed. One iteration per cell is a smoke check, not a
+# measurement.
 bench-smoke:
 	$(GO) test ./internal/rsakit -run '^$$' -bench 'OpBatch/direct' -benchtime 1x
+	$(GO) test ./internal/bench -run '^$$' -bench 'A11LightLane' -benchtime 1x
 
-# race hammers the concurrent packages (the worker pool and the streaming
-# batch scheduler) with repeated runs and a short timeout, the
-# configuration that shakes out scheduling-order bugs.
+# race hammers the concurrent packages (the one-shot worker pool and the
+# streaming batch scheduler's card queue) with repeated runs and a short
+# timeout, the configuration that shakes out scheduling-order bugs.
 race:
 	$(GO) test -race -count=4 -timeout=120s ./internal/phipool ./internal/phiserve
 
@@ -126,8 +129,8 @@ fleet:
 # mid-shed, requiring every admitted request to resolve exactly once.
 overload:
 	$(GO) test -race -timeout=300s ./internal/phiadmit ./internal/phisim
-	$(GO) test -race -timeout=300s -run 'TestSubmitRejectsDeadOnArrival|TestCanceledLanesDroppedAtSeal|TestOverflowCapSheds|TestRetryBudget|TestJobExpiry' \
-		./internal/phiserve ./internal/phipool
+	$(GO) test -race -timeout=300s -run 'TestSubmitRejectsDeadOnArrival|TestCanceledLanesDroppedAtSeal|TestOverflowCapSheds|TestRetryBudget|TestDeadBatchDroppedAtDequeue' \
+		./internal/phiserve
 	PHIOPENSSL_OVERLOAD=1 $(GO) test -race -timeout=300s -count=1 -run 'TestOverloadHammer' ./internal/phiadmit
 
 # observe is the request-journey acceptance gate: the phitrace suite under

@@ -64,8 +64,8 @@ var (
 	// deadline passed before execution (at the door or at an in-queue
 	// checkpoint).
 	ErrServerDeadlineExceeded = phiserve.ErrDeadlineExceeded
-	// ErrServerOverloaded marks requests shed because the dispatch queue
-	// and the overflow list behind it were both full.
+	// ErrServerOverloaded marks requests shed because their batch sealed
+	// with the dispatch queue and the overflow behind it both full.
 	ErrServerOverloaded = phiserve.ErrOverloaded
 )
 

@@ -57,23 +57,17 @@ type a11Kind struct {
 //     lane outputs checked against the scalar reference;
 //  3. live pipeline — the blend's full op population driven concurrently
 //     through admission (phiadmit) and a two-card fleet (phifleet), every
-//     op bit-checked and accounted exactly once per kind.
+//     op bit-checked and accounted exactly once per kind (a11Blend.live).
 //
 // The rendered table is fully deterministic (cycles and counts only);
 // the live leg's host wall-clock latencies — where the light public lane
-// jumps the heavy backlog — vary per host and are recorded out-of-band
-// in BENCH_workloads.json, with the adversarial starvation bound gated
-// by TestPublicLaneJumpsHeavyFlood in `make workloads`.
+// jumps the heavy backlog — vary per host. BenchmarkA11LightLane times
+// them (BENCH_workloads.json's light_lane_isolation_ms), and the
+// adversarial starvation bound is TestPublicLaneJumpsHeavyFlood in
+// `make workloads`.
 func runA11(o Options) *Table {
-	rng := rand.New(rand.NewSource(o.Seed + 120))
-	// Quick mode still needs a 1024-bit key: PSS with SHA-256 (32-byte
-	// salt) does not fit a 512-bit modulus.
-	bits, group, handshakes := 2048, dh.MODP2048(), 96
-	if o.Quick {
-		bits, group, handshakes = 1024, dh.MODP1024(), 48
-	}
-	key := keyFor(bits)
-	m := machine()
+	b := newA11Blend(o)
+	key, group, m := b.key, b.group, machine()
 
 	// Leg 1: one real in-memory handshake per blend type on the PhiOpenSSL
 	// server engine.
@@ -94,39 +88,9 @@ func runA11(o Options) *Table {
 		panic(fmt.Sprintf("bench: mTLS-DHE handshake failed: %v", err))
 	}
 
-	// The blend: 30% RSA key transport, 30% DHE-RSA, 15% mutual TLS over
-	// DHE, the rest resumed. Server-side op population per handshake type:
-	// RSA-KX decrypts once (rsa-priv); DHE and mTLS each sign the
-	// ServerKeyExchange (pss-sign) and run both DH halves (dhe-fixed g^x,
-	// dhe-var peer^x); mTLS additionally verifies the client chain and
-	// CertificateVerify (two public ops); resumption skips the tier
-	// entirely.
-	nRSA := handshakes * 30 / 100
-	nDHE := handshakes * 30 / 100
-	nMTLS := handshakes * 15 / 100
-	nRes := handshakes - nRSA - nDHE - nMTLS
-
-	ref := baseline.NewOpenSSL()
-	kinds := []*a11Kind{
-		{w: phiwork.RSAPrivateFor(key), ops: nRSA},
-		{w: phiwork.DHEFixedFor(group), ops: nDHE + nMTLS},
-		{w: phiwork.DHEVarFor(group), ops: nDHE + nMTLS},
-		{w: phiwork.PSSSignFor(key), ops: nDHE + nMTLS},
-		{w: phiwork.RSAPublicFor(&key.PublicKey), ops: 2 * nMTLS},
-	}
-
-	// Leg 2: a full batch of checked inputs per kind; scalar cost from the
-	// per-op engine, batch cost from a real metered vector pass.
-	for _, k := range kinds {
-		k.ins = a11Inputs(rng, ref, k.w, key, group)
-		k.want = make([]bn.Nat, len(k.ins))
-		for i, in := range k.ins {
-			want, err := k.w.ExecuteScalar(ref, in)
-			if err != nil {
-				panic(fmt.Sprintf("bench: %s scalar reference: %v", k.w.Kind(), err))
-			}
-			k.want[i] = want
-		}
+	// Leg 2: scalar cost from the per-op engine, batch cost from a real
+	// metered vector pass over the kind's checked inputs.
+	for _, k := range b.kinds {
 		k.scalarCy = measure(core.New(), func(e engine.Engine) {
 			if _, err := k.w.ExecuteScalar(e, k.ins[0]); err != nil {
 				panic(err)
@@ -148,11 +112,123 @@ func runA11(o Options) *Table {
 		k.batchCy = knc.KNCVectorCosts.VectorCycles(u.Counts())
 	}
 
-	// Leg 3: the blend's whole op population, concurrently, through the
-	// admission door and a two-card fleet — the pipeline the hammer gates,
-	// here measured. One worker per card keeps a real heavy backlog queued
-	// (several passes deep), the regime the light fast lane exists for;
-	// the SLO is set far above the backlog so nothing sheds.
+	// Leg 3: the live pipeline.
+	fleetStats, _ := b.live()
+
+	t := &Table{
+		ID: "a11",
+		Title: fmt.Sprintf("Workload-generic offload pipeline, %d-handshake blend (RSA-%d, %s, 2 cards x 1 worker)",
+			b.handshakes, b.bits, group.Name),
+		Columns: []string{
+			"workload", "class", "ops", "live ok", "scalar cyc/op", "batch cyc/op", "speedup",
+		},
+	}
+	ops := 0
+	for _, k := range b.kinds {
+		kind := k.w.Kind()
+		ws := fleetStats.Fleet.Workloads[kind]
+		if ws.Completed != int64(k.ops) {
+			panic(fmt.Sprintf("bench: fleet completed %d %s ops, submitted %d", ws.Completed, kind, k.ops))
+		}
+		ops += k.ops
+		perLane := k.batchCy / float64(len(k.ins))
+		t.Rows = append(t.Rows, []string{
+			string(kind),
+			k.w.Class().String(),
+			fmt.Sprintf("%d", k.ops),
+			fmt.Sprintf("%d", ws.Completed),
+			fmt.Sprintf("%.0f", k.scalarCy),
+			fmt.Sprintf("%.0f", perLane),
+			speedup(k.scalarCy, perLane),
+		})
+	}
+
+	t.Notes = append(t.Notes,
+		fmt.Sprintf("blend: %d RSA-KX + %d DHE-RSA + %d resumed + %d mTLS-DHE handshakes over %s",
+			b.nRSA, b.nDHE, b.nRes, b.nMTLS, group.Name),
+		fmt.Sprintf("per-handshake server cycles (one real tlssim handshake each): RSA-KX %.0f, DHE-RSA %.0f (%.2fx), resumed %.0f, mTLS-DHE %.0f (%.2fx)",
+			rsaCy, dheCy, dheCy/rsaCy, resCy, mtlsCy, mtlsCy/rsaCy),
+		"op population: RSA-KX -> 1 rsa-priv; DHE and mTLS -> 1 pss-sign (ServerKeyExchange;",
+		"the PSS encode is host-side rsakit.EncodePSSSHA256) + 1 dhe-fixed + 1 dhe-var;",
+		"mTLS adds 2 public verify lanes (client chain + CertificateVerify); resumed adds none.",
+		"'scalar cyc/op' is the per-op engine, 'batch cyc/op' one full 16-lane vector pass / 16,",
+		"lane outputs bit-checked against the scalar reference before the live leg runs.",
+		fmt.Sprintf("live leg: all %d ops concurrently through phiadmit -> 2-card phifleet, zero shed, exactly-once per-kind accounting from fleet stats", ops),
+		"light-lane isolation (public riding the pool's fast lane past the heavy backlog) is host",
+		"wall time, recorded out-of-band in BENCH_workloads.json; the adversarial starvation bound",
+		"is TestPublicLaneJumpsHeavyFlood in `make workloads`.",
+		fmt.Sprintf("full vector pass at %d lanes: rsa-priv %.0f cycles = %.2f ms at 1 worker (%s)",
+			phiserve.BatchSize, b.kinds[0].batchCy, 1e3*m.Latency(1, b.kinds[0].batchCy), m.Name))
+	return t
+}
+
+// a11Blend is A11's op population: the handshake mix, and for each of its
+// five workload lanes one full batch of inputs checked against the scalar
+// reference. rng carries on from the inputs into each live leg's shuffle.
+type a11Blend struct {
+	bits                    int
+	key                     *rsakit.PrivateKey
+	group                   dh.Group
+	handshakes              int
+	nRSA, nDHE, nMTLS, nRes int
+	kinds                   []*a11Kind
+	rng                     *rand.Rand
+}
+
+// newA11Blend builds the blend for o: RSA-2048 and modp2048 over 96
+// handshakes, or RSA-1024 and modp1024 over 48 in quick mode.
+func newA11Blend(o Options) *a11Blend {
+	b := &a11Blend{rng: rand.New(rand.NewSource(o.Seed + 120))}
+	// Quick mode still needs a 1024-bit key: PSS with SHA-256 (32-byte
+	// salt) does not fit a 512-bit modulus.
+	b.bits, b.group, b.handshakes = 2048, dh.MODP2048(), 96
+	if o.Quick {
+		b.bits, b.group, b.handshakes = 1024, dh.MODP1024(), 48
+	}
+	b.key = keyFor(b.bits)
+
+	// The blend: 30% RSA key transport, 30% DHE-RSA, 15% mutual TLS over
+	// DHE, the rest resumed. Server-side op population per handshake type:
+	// RSA-KX decrypts once (rsa-priv); DHE and mTLS each sign the
+	// ServerKeyExchange (pss-sign) and run both DH halves (dhe-fixed g^x,
+	// dhe-var peer^x); mTLS additionally verifies the client chain and
+	// CertificateVerify (two public ops); resumption skips the tier
+	// entirely.
+	b.nRSA = b.handshakes * 30 / 100
+	b.nDHE = b.handshakes * 30 / 100
+	b.nMTLS = b.handshakes * 15 / 100
+	b.nRes = b.handshakes - b.nRSA - b.nDHE - b.nMTLS
+	b.kinds = []*a11Kind{
+		{w: phiwork.RSAPrivateFor(b.key), ops: b.nRSA},
+		{w: phiwork.DHEFixedFor(b.group), ops: b.nDHE + b.nMTLS},
+		{w: phiwork.DHEVarFor(b.group), ops: b.nDHE + b.nMTLS},
+		{w: phiwork.PSSSignFor(b.key), ops: b.nDHE + b.nMTLS},
+		{w: phiwork.RSAPublicFor(&b.key.PublicKey), ops: 2 * b.nMTLS},
+	}
+	ref := baseline.NewOpenSSL()
+	for _, k := range b.kinds {
+		k.ins = a11Inputs(b.rng, ref, k.w, b.key, b.group)
+		k.want = make([]bn.Nat, len(k.ins))
+		for i, in := range k.ins {
+			want, err := k.w.ExecuteScalar(ref, in)
+			if err != nil {
+				panic(fmt.Sprintf("bench: %s scalar reference: %v", k.w.Kind(), err))
+			}
+			k.want[i] = want
+		}
+	}
+	return b
+}
+
+// live is A11's live leg: the blend's whole op population, shuffled and
+// driven concurrently through the admission door and a two-card fleet —
+// the pipeline the hammer gates, here measured. One worker per card keeps
+// a real heavy backlog queued (several passes deep), the regime the light
+// class's pull priority exists for; the SLO is set far above the backlog
+// so nothing sheds. Every result is bit-checked. It returns the fleet's
+// stats and each op's host wall latency, from its DoWork call to its
+// result, by class.
+func (b *a11Blend) live() (phifleet.Stats, map[phiwork.Class][]time.Duration) {
 	f, err := phifleet.New(phifleet.Config{
 		Cards:    2,
 		Replicas: 2,
@@ -177,20 +253,23 @@ func runA11(o Options) *Table {
 		lane int
 	}
 	var plan []liveOp
-	for _, k := range kinds {
+	for _, k := range b.kinds {
 		for i := 0; i < k.ops; i++ {
 			plan = append(plan, liveOp{k: k, lane: i % len(k.ins)})
 		}
 	}
-	rng.Shuffle(len(plan), func(i, j int) { plan[i], plan[j] = plan[j], plan[i] })
+	b.rng.Shuffle(len(plan), func(i, j int) { plan[i], plan[j] = plan[j], plan[i] })
 
 	errs := make([]error, len(plan))
+	lat := make([]time.Duration, len(plan))
 	var wg sync.WaitGroup
 	for i, op := range plan {
 		wg.Add(1)
 		go func(i int, op liveOp) {
 			defer wg.Done()
+			start := time.Now()
 			res, err := ctrl.DoWork(context.Background(), "blend", op.k.w, op.k.ins[op.lane])
+			lat[i] = time.Since(start)
 			switch {
 			case err != nil:
 				errs[i] = err
@@ -207,52 +286,14 @@ func runA11(o Options) *Table {
 			panic(fmt.Sprintf("bench: live op %d (%s): %v", i, plan[i].k.w.Kind(), e))
 		}
 	}
-	fleetStats := f.Stats()
+	st := f.Stats()
 	f.Close()
-
-	t := &Table{
-		ID: "a11",
-		Title: fmt.Sprintf("Workload-generic offload pipeline, %d-handshake blend (RSA-%d, %s, 2 cards x 1 worker)",
-			handshakes, bits, group.Name),
-		Columns: []string{
-			"workload", "class", "ops", "live ok", "scalar cyc/op", "batch cyc/op", "speedup",
-		},
+	byClass := make(map[phiwork.Class][]time.Duration)
+	for i, op := range plan {
+		c := op.k.w.Class()
+		byClass[c] = append(byClass[c], lat[i])
 	}
-	for _, k := range kinds {
-		kind := k.w.Kind()
-		ws := fleetStats.Fleet.Workloads[kind]
-		if ws.Completed != int64(k.ops) {
-			panic(fmt.Sprintf("bench: fleet completed %d %s ops, submitted %d", ws.Completed, kind, k.ops))
-		}
-		perLane := k.batchCy / float64(len(k.ins))
-		t.Rows = append(t.Rows, []string{
-			string(kind),
-			k.w.Class().String(),
-			fmt.Sprintf("%d", k.ops),
-			fmt.Sprintf("%d", ws.Completed),
-			fmt.Sprintf("%.0f", k.scalarCy),
-			fmt.Sprintf("%.0f", perLane),
-			speedup(k.scalarCy, perLane),
-		})
-	}
-
-	t.Notes = append(t.Notes,
-		fmt.Sprintf("blend: %d RSA-KX + %d DHE-RSA + %d resumed + %d mTLS-DHE handshakes over %s",
-			nRSA, nDHE, nRes, nMTLS, group.Name),
-		fmt.Sprintf("per-handshake server cycles (one real tlssim handshake each): RSA-KX %.0f, DHE-RSA %.0f (%.2fx), resumed %.0f, mTLS-DHE %.0f (%.2fx)",
-			rsaCy, dheCy, dheCy/rsaCy, resCy, mtlsCy, mtlsCy/rsaCy),
-		"op population: RSA-KX -> 1 rsa-priv; DHE and mTLS -> 1 pss-sign (ServerKeyExchange;",
-		"the PSS encode is host-side rsakit.EncodePSSSHA256) + 1 dhe-fixed + 1 dhe-var;",
-		"mTLS adds 2 public verify lanes (client chain + CertificateVerify); resumed adds none.",
-		"'scalar cyc/op' is the per-op engine, 'batch cyc/op' one full 16-lane vector pass / 16,",
-		"lane outputs bit-checked against the scalar reference before the live leg runs.",
-		fmt.Sprintf("live leg: all %d ops concurrently through phiadmit -> 2-card phifleet, zero shed, exactly-once per-kind accounting from fleet stats", len(plan)),
-		"light-lane isolation (public riding the pool's fast lane past the heavy backlog) is host",
-		"wall time, recorded out-of-band in BENCH_workloads.json; the adversarial starvation bound",
-		"is TestPublicLaneJumpsHeavyFlood in `make workloads`.",
-		fmt.Sprintf("full vector pass at %d lanes: rsa-priv %.0f cycles = %.2f ms at 1 worker (%s)",
-			phiserve.BatchSize, kinds[0].batchCy, 1e3*m.Latency(1, kinds[0].batchCy), m.Name))
-	return t
+	return st, byClass
 }
 
 // a11Inputs builds one full batch of valid inputs for the workload kind.

@@ -111,7 +111,7 @@ func TestFleetRoutesAndServes(t *testing.T) {
 		`phiserve_requests_completed_total{card="0"}`,
 		`phiserve_requests_completed_total{card="3"}`,
 		`phiserve_breaker_trips_total{card="1"}`,
-		`phipool_jobs_run_total{card="2"}`,
+		`phiserve_batches_run_total{card="2"}`,
 	} {
 		if !strings.Contains(sb.String(), series) {
 			t.Fatalf("registry missing per-card series %s", series)

@@ -11,25 +11,29 @@
 // identity — requests carrying the same Workload instance (same key,
 // same kind) fill the same batch — and execution defers to the
 // workload's ExecuteBatch, so the scheduler never knows which kernel
-// family a batch runs. Dispatch is class-aware: ClassLight batches
-// (public ops) ride the pool's fast lane and a separate overflow list,
-// so a flood of heavy private-op batches cannot starve them past their
-// SLO.
+// family a batch runs. Dispatch is class-aware: each class has its own
+// sealed list and its own backpressure bound, and a free worker takes the
+// oldest light batch (public ops) before any heavy one, so a flood of
+// heavy private-op batches cannot starve them past their SLO.
 //
 // The scheduling policy is the classic batch-server trade: a request
 // that arrives into an empty per-workload buffer opens a batch and arms
-// a fill deadline; the batch dispatches when the sixteenth request
+// a fill deadline; the batch seals when the sixteenth request
 // arrives or when the deadline fires, whichever is first. A partial
-// dispatch costs a full kernel pass in simulated cycles, because the card
+// batch costs a full kernel pass in simulated cycles, because the card
 // runs whole 16-lane vectors (the direct backend's host work scales with
 // the live lanes, but it charges the full pass) — the deadline is
 // literally the knob trading latency (dispatch early, waste lanes)
 // against throughput (wait for fills, queue longer).
 //
-// Execution runs on a persistent phipool.Server: long-lived workers each
-// owning a private vector unit, a bounded batch queue whose fullness
-// propagates as backpressure to SubmitWork, graceful drain on Close, and
-// fail-fast rejection of queued batches when the context is canceled.
+// Each server owns one card queue (queue.go): a mutex-guarded structure
+// holding every workload's open batch and a FIFO list of sealed batches
+// per class. SubmitWork and Adopt append lanes under the lock, the fill
+// deadline's timer seals a partial batch directly, and long-lived
+// workers, each owning a private vector unit, pull sealed batches from
+// it. A class with 2*QueueDepth sealed batches waiting blocks its
+// submitters (backpressure); Close seals the open batches and lets the
+// workers drain the queue; cancellation fails what is still queued.
 // Results return asynchronously on a per-request channel together with
 // the simulated per-request latency; Stats aggregates queue depth, the
 // batch fill-rate histogram, cycles/op, simulated throughput and the
@@ -58,7 +62,6 @@ import (
 
 	"phiopenssl/internal/bn"
 	"phiopenssl/internal/knc"
-	"phiopenssl/internal/phipool"
 	"phiopenssl/internal/phitrace"
 	"phiopenssl/internal/phiwork"
 	"phiopenssl/internal/rsakit"
@@ -72,8 +75,8 @@ const BatchSize = rsakit.BatchSize
 // Errors returned by SubmitWork or delivered in Result.Err.
 var (
 	// ErrCanceled marks requests abandoned by context cancellation:
-	// requests still waiting in a per-workload buffer or in a batch that
-	// was queued but never executed. In-flight batches are drained, so
+	// requests still waiting in an open batch or in a sealed batch that
+	// no worker had taken yet. In-flight batches are drained, so
 	// their requests complete normally.
 	ErrCanceled = errors.New("phiserve: canceled")
 	// ErrClosed reports a SubmitWork after Close.
@@ -82,13 +85,13 @@ var (
 	ErrNotStarted = errors.New("phiserve: server not started")
 	// ErrDeadlineExceeded marks requests whose SLO deadline expired before
 	// a kernel pass could serve them: rejected at SubmitWork (deadline already
-	// past), dropped when their batch sealed, or dropped at the dispatch
-	// queue / pre-pass filter. The lane never burns card cycles.
+	// past), dropped when their batch sealed, or dropped at dequeue / the
+	// pre-pass filter. The lane never burns card cycles.
 	ErrDeadlineExceeded = errors.New("phiserve: deadline exceeded before execution")
-	// ErrOverloaded marks requests shed because the scheduler's overflow
-	// list hit its cap (Config.OverflowCap): the dispatch queue and the
-	// overflow behind it are both full, so admitting more work would only
-	// grow an unserveable backlog.
+	// ErrOverloaded marks requests shed because their batch sealed with
+	// QueueDepth+OverflowCap batches of its class already waiting in the
+	// card queue: the dispatch queue and the overflow behind it are both
+	// full, so admitting more work would only grow an unserveable backlog.
 	ErrOverloaded = errors.New("phiserve: dispatch overflow full, request shed")
 )
 
@@ -103,18 +106,20 @@ type Config struct {
 	// FillDeadline is the host time a partial batch waits for more
 	// requests before dispatching. Defaults to 2ms.
 	FillDeadline time.Duration
-	// QueueDepth bounds the dispatch queue between the scheduler and the
-	// workers; a full queue blocks dispatch and, transitively, SubmitWork
-	// (backpressure). The light-class fast lane gets its own queue of the
-	// same depth. Defaults to 2*Workers.
+	// QueueDepth is the dispatch-queue depth of each class's sealed list
+	// in the card queue: a batch sealed with QueueDepth of its class
+	// already waiting is an overflow (Stats.OverflowBatches), and a class
+	// with 2*QueueDepth waiting blocks SubmitWork (backpressure) and makes
+	// Adopt give its ops back. The light and heavy classes are bounded
+	// separately. Defaults to 2*Workers.
 	QueueDepth int
-	// OverflowCap bounds each of the scheduler's per-class overflow lists
-	// (the batches parked when the dispatch queue is full). Intake
-	// backpressure already stops new admissions of a class once its list
-	// is QueueDepth deep, but deadline flushes of already-open workloads
-	// and adopted lanes can still push past that; at the cap the newest
-	// batch is shed with ErrOverloaded instead of growing an unserveable
-	// backlog. Defaults to 8*QueueDepth.
+	// OverflowCap bounds each class's overflow, the sealed batches beyond
+	// its first QueueDepth. Backpressure already stops new submissions of
+	// a class at QueueDepth overflow batches, but deadline seals of
+	// already-open workloads and adopted lanes never block and can push
+	// past that; a batch sealed with QueueDepth+OverflowCap of its class
+	// waiting is shed with ErrOverloaded instead of growing an
+	// unserveable backlog. Defaults to 8*QueueDepth.
 	OverflowCap int
 	// Backend selects how workers execute kernel passes:
 	// vpu.BackendDirect (calibrated direct limb arithmetic, the serving
@@ -145,14 +150,15 @@ type Config struct {
 	// function-backed metrics. The multi-card fleet labels each card.
 	Labels []string
 	// Redispatch, when non-nil, is offered work this server would rather
-	// hand off than serve locally: deadline-fired partial batches,
+	// hand off than serve locally (never under the card lock):
+	// deadline-fired partial batches,
 	// fault-detected lanes awaiting a retry, and requests admitted while
 	// the breaker is open. The hook (the fleet's work-stealing router)
 	// returns how many operations, from the front of the slice, it moved
 	// to a sibling server via Adopt; the rest stay here. See steal.go.
 	Redispatch RedispatchFunc
 	// Journeys, when non-nil, records a per-request journey (batch seal,
-	// queue dequeue, kernel pass with its segment breakdown, retries,
+	// dequeue, kernel pass with its segment breakdown, retries,
 	// fallback, expiry checkpoints) resolved with exactly one terminal
 	// outcome at finish, and receives incident triggers on breaker
 	// transitions and retry-budget exhaustion. A journey begun upstream
@@ -244,7 +250,7 @@ type request struct {
 
 	// Admission metadata (SubmitOpts). deadline is the absolute SLO
 	// deadline — zero means none; a lane past it is dropped at the next
-	// checkpoint (batch seal, dispatch dequeue, pre-pass filter) instead
+	// checkpoint (batch seal, dequeue, pre-pass filter) instead
 	// of burning card cycles. ctx is the submitter's context, checked at
 	// the same checkpoints so an abandoned request frees its lane.
 	deadline time.Time
@@ -265,7 +271,7 @@ func (q *request) ctxDone() bool {
 	return q.ctx != nil && q.ctx.Err() != nil
 }
 
-// batch is the scheduler's dispatch unit.
+// batch is a sealed batch: the unit a worker pulls from the card queue.
 type batch struct {
 	work phiwork.Workload
 	reqs []*request
@@ -275,26 +281,9 @@ type batch struct {
 	// attempts counts execution attempts already spent on this batch's
 	// requests (stall-timeout re-dispatches).
 	attempts int
-	// enqueuedAt stamps the hand-off to the dispatch queue, for the
-	// queue-wait histogram.
+	// enqueuedAt stamps the push onto its sealed list, for the queue-wait
+	// histogram.
 	enqueuedAt time.Time
-}
-
-// pending is one workload's open batch: requests accumulated since the
-// buffer was last empty, plus the deadline timer and the generation
-// guarding it.
-type pending struct {
-	reqs     []*request
-	gen      uint64
-	timer    *time.Timer
-	openedAt time.Time // first request's arrival, for the fill-window slice
-}
-
-// flushMsg asks the scheduler to dispatch a workload's open batch if it
-// still belongs to the generation whose timer fired.
-type flushMsg struct {
-	work phiwork.Workload
-	gen  uint64
 }
 
 // Server is the streaming batch scheduler. Requests for the same
@@ -303,27 +292,17 @@ type flushMsg struct {
 // canonicalization point), the natural shape for a server holding a
 // fixed key set.
 type Server struct {
-	cfg  Config
-	pool *phipool.Server[*worker, *batch]
+	cfg Config
 
-	// intake is the heavy-class submission channel; intakeLight carries
-	// ClassLight (public-op) requests so heavy backpressure cannot block
-	// cheap submissions.
-	intake      chan *request
-	intakeLight chan *request
-	flush       chan flushMsg
-
-	ctx       context.Context
-	cancel    context.CancelFunc
-	schedDone chan struct{}
+	ctx    context.Context
+	cancel context.CancelFunc
 
 	// breaker gates the vector path on the rolling fault rate.
 	breaker *breaker
-	// release is closed by Close before the pool drains: workers parked on
-	// an injected stall wake up and serve their leftovers via the scalar
-	// path so the drain can finish.
-	release     chan struct{}
-	releaseOnce sync.Once
+	// release is closed by Close before the workers drain: workers parked
+	// on an injected stall wake up and serve their leftovers via the
+	// scalar path so the drain can finish.
+	release chan struct{}
 	// workerSeq numbers worker states for per-worker fault seeds;
 	// respawned workers get fresh numbers (fresh schedules).
 	workerSeq atomic.Int64
@@ -339,10 +318,35 @@ type Server struct {
 	waitEWMA atomic.Uint64
 	waitAt   atomic.Int64
 
-	mu       sync.Mutex
-	started  bool
-	closed   bool
-	inFlight sync.WaitGroup // SubmitWork calls between the closed check and the enqueue
+	// mu guards the lifecycle flags and the card queue (queue.go).
+	mu      sync.Mutex
+	started bool
+	closed  bool
+	// open is each workload's open batch.
+	open map[phiwork.Workload]*pending
+	// sealed is each class's FIFO list of sealed batches, oldest first.
+	sealed [2][]*batch
+	// room[c], when non-nil, is closed when class c drops below its
+	// backpressure bound, waking blocked submitters.
+	room [2]chan struct{}
+	// inFlight counts SubmitWork calls past the closed check, so Close
+	// seals the open batches only once each has enqueued or given up.
+	inFlight sync.WaitGroup
+
+	// sealing counts batches taken out of open and not yet pushed, so
+	// Close starts the drain only once every one of them is queued.
+	sealing sync.WaitGroup
+	// wake carries one token per push to an idle worker (buffered to
+	// Workers, so a push never blocks); drained is closed by Close once no
+	// seal can reach the queue anymore.
+	wake    chan struct{}
+	drained chan struct{}
+	// workers tracks the worker loops and the cancellation sweep, zombies
+	// the executions that overran ExecTimeout (and every monitored pass).
+	// stopSweep unschedules the sweep.
+	workers   sync.WaitGroup
+	zombies   sync.WaitGroup
+	stopSweep func() bool
 
 	// tel is the server's telemetry bundle: the caller's, or a private
 	// metrics-only bundle so the registry (and hence Stats) always exists.
@@ -373,14 +377,13 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 	s := &Server{
-		cfg:         cfg,
-		intake:      make(chan *request, BatchSize),
-		intakeLight: make(chan *request, BatchSize),
-		flush:       make(chan flushMsg, 1),
-		schedDone:   make(chan struct{}),
+		cfg: cfg,
 		breaker: newBreaker(r.BreakerWindow, r.BreakerThreshold,
 			r.BreakerMinSamples, r.BreakerCooldown),
 		release: make(chan struct{}),
+		open:    make(map[phiwork.Workload]*pending),
+		wake:    make(chan struct{}, cfg.Workers),
+		drained: make(chan struct{}),
 		tel:     tel,
 		tracer:  tel.Tracer,
 		stats:   newStatsAcc(tel.Registry, cfg.Labels),
@@ -390,28 +393,6 @@ func New(cfg Config) (*Server, error) {
 		"closed->open (and failed-probe) breaker transitions",
 		func() float64 { _, trips := s.breaker.snapshot(); return float64(trips) },
 		cfg.Labels...)
-	pool, err := phipool.NewServer(cfg.Machine, cfg.Workers, cfg.QueueDepth,
-		s.newWorker, s.runBatch, s.rejectBatch)
-	if err != nil {
-		return nil, err
-	}
-	// The light-class fast lane: cheap public-op batches bypass the heavy
-	// dispatch queue entirely, so a heavy flood cannot starve them.
-	pool.SetFastLane(cfg.QueueDepth, func(b *batch) bool {
-		return b.work.Class() == phiwork.ClassLight
-	})
-	if r.ExecTimeout > 0 {
-		pool.SetJobTimeout(r.ExecTimeout, s.retryTimedOut)
-	}
-	// Deadline-aware drop at the dispatch queue: a batch none of whose
-	// lanes is still worth executing is resolved by the expiry handler
-	// instead of occupying a worker. Lane death is monotone (a canceled
-	// or expired lane never comes back), so the predicate cannot race a
-	// batch back to life between the check and the handler.
-	pool.SetJobExpiry(s.batchDead, s.resolveDeadBatch)
-	pool.SetDequeueObserver(s.observeDequeue)
-	pool.Instrument(s.tel.Registry, "phipool", cfg.Labels...)
-	s.pool = pool
 	s.tel.Registry.GaugeFunc("phiserve_estimated_delay_seconds",
 		"sojourn estimate for a newly admitted request (fill wait + backlog drain + one pass)",
 		func() float64 { return s.EstimatedDelay().Seconds() }, cfg.Labels...)
@@ -433,12 +414,6 @@ func (s *Server) batchDead(b *batch) bool {
 		}
 	}
 	return true
-}
-
-// resolveDeadBatch is the pool's expiry handler: it resolves (and counts)
-// the lanes of a batch that died waiting in the dispatch queue.
-func (s *Server) resolveDeadBatch(b *batch) {
-	s.dropDeadLanes(b.reqs, "pool-dequeue")
 }
 
 // Telemetry returns the server's telemetry bundle: the one supplied in
@@ -529,7 +504,7 @@ func (s *Server) finish(q *request, res Result, checkpoint *telemetry.Counter) {
 // executing: already-resolved lanes are skipped silently; canceled and
 // deadline-expired lanes are resolved (and counted) here. Every point
 // that is about to spend card time on a slice runs it — batch seal, the
-// dispatch queue's expiry check, the pre-pass filter, the retry loop and
+// dequeue's dead-batch check, the pre-pass filter, the retry loop and
 // the scalar path — so a dead lane can never reach kernel execution, for
 // any workload class. checkpoint names the call site on the dropped
 // lane's journey, answering "which of the checkpoints caught it".
@@ -564,10 +539,10 @@ func journeyNote(reqs []*request, build func() string) string {
 	return ""
 }
 
-// observeDequeue is the pool's dequeue observer: it stamps queue wait and
-// the pool slot onto every journeyed lane the moment a worker picks the
-// batch up — before the expiry judgment, so even a batch about to be
-// dropped records how long it queued.
+// observeDequeue stamps queue wait and the worker slot onto every
+// journeyed lane the moment a worker takes the batch — before the
+// dead-batch judgment, so even a batch about to be dropped records how
+// long it queued.
 func (s *Server) observeDequeue(slot int, b *batch) {
 	note := journeyNote(b.reqs, func() string {
 		wait := time.Duration(0)
@@ -619,12 +594,12 @@ func (s *Server) observeWait(wait time.Duration, at time.Time) {
 
 // EstimatedDelay is the telemetry-derived sojourn estimate for a newly
 // admitted heavy-class request, the larger of a model and a measurement.
-// The model is the fill-deadline wait, plus the backlog (dispatch queue +
-// overflow lists) drained at one recent-mean pass per worker, plus the
-// request's own pass. The measurement is how long recent heavy passes'
-// oldest lanes waited since submission, plus one pass: it sees the waits
-// the model misses — at intake backpressure, in open batches, behind
-// retries and the scalar fallback. It counts only while its last
+// The model is the fill-deadline wait, plus the backlog (every sealed
+// batch in the card queue, both classes) drained at one recent-mean pass
+// per worker, plus the request's own pass. The measurement is how long
+// recent heavy passes' oldest lanes waited since submission, plus one
+// pass: it sees the waits the model misses — at backpressure, in open
+// batches, behind retries and the scalar fallback. It counts only while its last
 // observation is no older than the wait it measured, so once passes stop
 // reporting long waits the estimate falls back to the model by itself.
 // The admission layer (internal/phiadmit) sheds at the door when this
@@ -640,8 +615,7 @@ func (s *Server) estimatedDelayAt(now time.Time) time.Duration {
 	if pass <= 0 {
 		return s.cfg.FillDeadline
 	}
-	backlog := float64(s.pool.QueueDepth()) + s.stats.overflowDepth.Value()
-	sojourn := (backlog/float64(s.cfg.Workers) + 1) * pass
+	sojourn := (s.waiting()/float64(s.cfg.Workers) + 1) * pass
 	est := s.cfg.FillDeadline + time.Duration(sojourn*float64(time.Second))
 	wait := math.Float64frombits(s.waitEWMA.Load())
 	if age := now.Sub(time.Unix(0, s.waitAt.Load())); age.Seconds() <= wait {
@@ -650,14 +624,14 @@ func (s *Server) estimatedDelayAt(now time.Time) time.Duration {
 	return est
 }
 
-// ctl is the trace track for the scheduler goroutine, breaker transitions
-// and the timeout monitor: Card<<20 (0 for a standalone server). Workers
+// ctl is the trace track for batch fills, steals, breaker transitions
+// and stall timeouts: Card<<20 (0 for a standalone server). Workers
 // use ctl()+1+idx, so the cards of a fleet sharing a Tracer stay on
 // disjoint rows.
 func (s *Server) ctl() int64 { return int64(s.cfg.Card) << 20 }
 
 // trackName decorates a trace-track name with the server's labels
-// ("scheduler [card=2]"), so fleet traces stay readable.
+// ("card-queue [card=2]"), so fleet traces stay readable.
 func (s *Server) trackName(base string) string {
 	if len(s.cfg.Labels) < 2 {
 		return base
@@ -680,10 +654,10 @@ func (s *Server) trackName(base string) string {
 // Config returns the server's effective (defaulted) configuration.
 func (s *Server) Config() Config { return s.cfg }
 
-// Start launches the workers and the scheduler goroutine. Canceling ctx
-// fails fast: in-flight batches drain, buffered and queued requests
-// resolve with ErrCanceled. Close must still be called afterwards to
-// release the server's goroutines.
+// Start launches the workers. Canceling ctx fails fast: in-flight
+// batches drain, open and queued requests resolve with ErrCanceled.
+// Close must still be called afterwards to release the server's
+// goroutines.
 func (s *Server) Start(ctx context.Context) {
 	s.mu.Lock()
 	if s.started {
@@ -692,11 +666,20 @@ func (s *Server) Start(ctx context.Context) {
 	}
 	s.started = true
 	s.ctx, s.cancel = context.WithCancel(ctx)
+	// Before any Close can wait on them: the workers, and the sweep that
+	// fails what is queued the moment ctx is canceled rather than when a
+	// worker next frees.
+	s.workers.Add(s.cfg.Workers + 1)
+	s.stopSweep = context.AfterFunc(s.ctx, func() {
+		defer s.workers.Done()
+		s.failQueued()
+	})
 	s.mu.Unlock()
 
-	s.tracer.NameThread(s.ctl(), s.trackName("scheduler"))
-	s.pool.Start(s.ctx)
-	go s.schedule()
+	s.tracer.NameThread(s.ctl(), s.trackName("card-queue"))
+	for slot := 0; slot < s.cfg.Workers; slot++ {
+		go s.work(slot)
+	}
 }
 
 // SubmitOpts is the admission metadata attached to one request.
@@ -719,15 +702,17 @@ type SubmitOpts struct {
 // SubmitWork enqueues one operation of any registered workload kind and
 // returns the channel its Result will arrive on. It carries admission
 // metadata: a tenant id and an SLO deadline that travel with the request
-// through the scheduler, the dispatch queue, work stealing and the worker
-// pool. The input is validated by the workload before it can occupy a
-// lane; an already-expired context or deadline is rejected here — the
-// request never reaches the pool. ctx bounds this call's wait
-// (backpressure can block it); once nil is returned, exactly one Result
-// is guaranteed to arrive. After admission, ctx keeps mattering: a
-// request whose context is canceled while it waits is dropped at the next
-// checkpoint (batch seal, queue dequeue, pre-pass filter) and resolves
-// with ErrCanceled.
+// through the card queue, work stealing and the workers. The input is
+// validated by the workload before it can occupy a lane; an
+// already-expired context or deadline is rejected here — the request
+// never reaches the queue. ctx bounds this call's wait: it blocks while
+// its class has 2*QueueDepth sealed batches waiting (backpressure) and
+// returns ctx.Err() if ctx ends first, or ErrCanceled if the server's
+// context does; a Close that begins meanwhile waits for the call to
+// enqueue. Once nil is returned, exactly one Result is guaranteed to
+// arrive. After admission, ctx keeps mattering: a request whose context
+// is canceled while it waits is dropped at the next checkpoint (batch
+// seal, dequeue, pre-pass filter) and resolves with ErrCanceled.
 //
 // Requests aggregate into batches by Workload instance identity: resolve
 // instances through the phiwork.*For caches (or reuse your own) so equal
@@ -767,13 +752,8 @@ func (s *Server) SubmitWork(ctx context.Context, w phiwork.Workload, in phiwork.
 	s.inFlight.Add(1)
 	s.mu.Unlock()
 	defer s.inFlight.Done()
-
-	// Fail fast once canceled, so a free intake slot cannot win the
-	// select against an already-dead server.
-	select {
-	case <-s.ctx.Done():
+	if s.ctx.Err() != nil {
 		return nil, ErrCanceled
-	default:
 	}
 	// Adopt the journey begun upstream (door or fleet router), or begin
 	// one here for direct submissions. Journeys this call begins are also
@@ -801,29 +781,58 @@ func (s *Server) SubmitWork(ctx context.Context, w phiwork.Workload, in phiwork.
 		ctx:      ctx,
 		journey:  journey,
 	}
-	// Light-class requests ride their own intake so heavy backpressure
-	// (a closed heavy gate, a full heavy intake buffer) cannot block a
-	// cheap submission behind it.
-	intake := s.intake
-	if w.Class() == phiwork.ClassLight {
-		intake = s.intakeLight
+	reject := func(err error) (<-chan Result, error) {
+		if ownJourney {
+			journey.Finish(phitrace.OutcomeCanceled, "not submitted")
+		}
+		return nil, err
 	}
-	select {
-	case intake <- req:
-		s.stats.submitted.Inc()
-		s.stats.workload(w.Kind()).submitted.Inc()
+	degraded := s.breaker.degraded()
+	cls := w.Class()
+	s.mu.Lock()
+	// Backpressure, per class: a heavy flood blocks heavy submitters and
+	// never gates the light class. A graceful Close waits for this call,
+	// and the workers keep draining meanwhile.
+	for s.fullLocked(cls) {
+		if s.room[cls] == nil {
+			s.room[cls] = make(chan struct{})
+		}
+		room := s.room[cls]
+		s.mu.Unlock()
+		select {
+		case <-room:
+		case <-s.ctx.Done():
+			return reject(ErrCanceled)
+		case <-ctx.Done():
+			return reject(ctx.Err())
+		}
+		s.mu.Lock()
+	}
+	if s.ctx.Err() != nil {
+		s.mu.Unlock()
+		return reject(ErrCanceled)
+	}
+	s.stats.submitted.Inc()
+	s.stats.workload(w.Kind()).submitted.Inc()
+	if degraded {
+		// Breaker open: don't buffer toward a vector batch that will not
+		// run. A healthy sibling card may take the request; otherwise it
+		// seals at once as a one-request scalar-fallback batch.
+		s.sealing.Add(1)
+		s.mu.Unlock()
+		defer s.sealing.Done()
+		reqs := []*request{req}
+		if s.offerSteal(w, reqs, StealDegraded) == 0 {
+			s.pushOrFail(&batch{work: w, reqs: reqs, fallback: true})
+		}
 		return req.resp, nil
-	case <-s.ctx.Done():
-		if ownJourney {
-			journey.Finish(phitrace.OutcomeCanceled, "not submitted")
-		}
-		return nil, ErrCanceled
-	case <-ctx.Done():
-		if ownJourney {
-			journey.Finish(phitrace.OutcomeCanceled, "not submitted")
-		}
-		return nil, ctx.Err()
 	}
+	full := s.addLocked(req)
+	s.mu.Unlock()
+	if full != nil {
+		s.seal(full, false)
+	}
+	return req.resp, nil
 }
 
 // DoWork is the synchronous convenience wrapper over SubmitWork.
@@ -841,324 +850,48 @@ func (s *Server) DoWork(ctx context.Context, w phiwork.Workload, in phiwork.Inpu
 }
 
 // Close shuts the server down. If the context is still alive this is a
-// graceful drain: open partial batches dispatch immediately and every
-// queued batch executes. After cancellation it instead reaps the
-// goroutines and fails any straggling requests with ErrCanceled. Close is
-// idempotent.
+// graceful drain: SubmitWork calls already under way (blocked ones
+// included) enqueue, open partial batches seal, and the workers run
+// every queued batch before Close returns. After cancellation, or if the
+// context is canceled during the drain, what is still queued fails with
+// ErrCanceled and Close reaps the goroutines. Close is idempotent.
 func (s *Server) Close() {
 	s.mu.Lock()
-	if !s.started || s.closed {
-		started := s.started
+	if !s.started {
 		s.mu.Unlock()
-		if started {
-			<-s.schedDone
-			s.pool.Close()
-		}
 		return
 	}
+	first := !s.closed
 	s.closed = true
 	s.mu.Unlock()
-
-	s.inFlight.Wait()    // racing SubmitWork calls have enqueued or given up
-	close(s.intake)      // scheduler flushes pending and exits...
-	close(s.intakeLight) // ...once both intakes are drained
-	// Wake workers parked on injected stalls before waiting on the
-	// scheduler: the scheduler's final act is flushing its overflow lists
-	// through the blocking path, which needs queue slots that only free
-	// up when parked workers drain their batches via the scalar path.
-	s.releaseOnce.Do(func() { close(s.release) })
-	<-s.schedDone
-	// After cancellation the scheduler exits without draining the intake
-	// buffers; resolve whatever it left behind.
-	for req := range s.intake {
-		s.finish(req, Result{Err: ErrCanceled}, nil)
+	if first {
+		s.inFlight.Wait() // racing SubmitWork calls have enqueued or given up
+		var flush []*pending
+		s.mu.Lock()
+		for _, p := range s.open {
+			s.takeLocked(p)
+			flush = append(flush, p)
+		}
+		s.mu.Unlock()
+		for _, p := range flush {
+			s.seal(p, false)
+		}
+		s.sealing.Wait() // seals already under way reach the queue first
+		// Wake workers parked on injected stalls: they serve their
+		// leftovers on the scalar path so the drain can finish.
+		close(s.release)
+		close(s.drained)
 	}
-	for req := range s.intakeLight {
-		s.finish(req, Result{Err: ErrCanceled}, nil)
+	if s.stopSweep() {
+		s.workers.Done() // the sweep will never run
 	}
-	s.pool.Close()
+	s.workers.Wait()
+	s.zombies.Wait() // abandoned executions must unwedge on shutdown
 	s.cancel()
-}
-
-// overflowPollInterval is how often the scheduler retries its overflow
-// lists against the dispatch queues while either is non-empty. Small
-// against the default FillDeadline (2ms), so an overflowed batch reaches
-// a freed queue slot promptly.
-const overflowPollInterval = 250 * time.Microsecond
-
-// schedule is the single goroutine that owns the per-workload buffers.
-//
-// Dispatch never blocks this goroutine: a batch the queue cannot take
-// goes onto the scheduler-owned overflow list for its class and is
-// retried on a short poll. Blocking here — the old behavior — was
-// head-of-line blocking for the whole server: one workload saturating
-// the dispatch queue froze fill deadlines and intake for every other.
-// Backpressure survives the fix, per class: once a class's overflow list
-// is QueueDepth deep the scheduler stops pulling that class's intake (a
-// nil channel never selects), so that intake buffer fills and SubmitWork
-// blocks — while the other class, deadline flushes and cancellation keep
-// being served. A heavy flood therefore backpressures heavy submitters
-// without ever gating the light lane.
-func (s *Server) schedule() {
-	defer close(s.schedDone)
-	open := make(map[phiwork.Workload]*pending)
-	var gen uint64
-
-	// Per-class overflow lists (indexed by phiwork.Class), oldest first;
-	// only this goroutine touches them.
-	var overflow [2][]*batch
-	poll := time.NewTimer(overflowPollInterval)
-	if !poll.Stop() {
-		<-poll.C
-	}
-	pollArmed := false
-
-	drainClass := func(cls phiwork.Class) {
-		q := overflow[cls]
-		for len(q) > 0 {
-			if !s.pool.TrySubmit(q[0]) {
-				overflow[cls] = q
-				return
-			}
-			q[0] = nil // release the batch to the GC
-			q = q[1:]
-			s.stats.overflowDepth.Add(-1)
-		}
-		overflow[cls] = nil
-	}
-	drainOverflow := func() {
-		// Light first: its queue frees independently and its batches are
-		// closest to their (tight) SLOs.
-		drainClass(phiwork.ClassLight)
-		drainClass(phiwork.ClassHeavy)
-	}
-	enqueue := func(b *batch) {
-		cls := b.work.Class()
-		b.enqueuedAt = time.Now()
-		drainClass(cls) // keep FIFO within the class: older batches go first
-		if len(overflow[cls]) == 0 && s.pool.TrySubmit(b) {
-			return
-		}
-		if len(overflow[cls]) >= s.cfg.OverflowCap {
-			// The queue and the overflow behind it are both full: shed the
-			// newest batch instead of growing an unserveable backlog. Old
-			// batches keep their FIFO position — they are closest to their
-			// deadlines.
-			for _, r := range b.reqs {
-				s.finish(r, Result{Err: ErrOverloaded}, s.stats.overflowDropped)
-			}
-			return
-		}
-		overflow[cls] = append(overflow[cls], b)
-		s.stats.overflowed.Inc()
-		s.stats.overflowDepth.Add(1)
-		if note := journeyNote(b.reqs, func() string {
-			return "depth=" + strconv.Itoa(len(overflow[cls])) + " class=" + cls.String()
-		}); note != "" {
-			for _, r := range b.reqs {
-				r.journey.Event("overflow", s.cfg.Card, note)
-			}
-		}
-	}
-
-	dispatch := func(w phiwork.Workload, byDeadline bool) {
-		p := open[w]
-		delete(open, w)
-		p.timer.Stop()
-		s.stats.pendingLanes.Add(float64(-len(p.reqs)))
-		if s.tracer != nil {
-			s.tracer.Slice(s.ctl(), "batch-fill", p.openedAt,
-				time.Since(p.openedAt), telemetry.Args{
-					"lanes": len(p.reqs), "key": w.Tag()})
-		}
-		// Batch seal is the first drop checkpoint: lanes whose submitter
-		// canceled while they buffered, or whose deadline already expired,
-		// resolve here instead of riding a kernel pass.
-		reqs := s.dropDeadLanes(p.reqs, "seal")
-		if len(reqs) == 0 {
-			return
-		}
-		if note := journeyNote(reqs, func() string {
-			n := "fill=" + strconv.Itoa(len(reqs))
-			if byDeadline {
-				n += " deadline-fired"
-			}
-			return n
-		}); note != "" {
-			for _, q := range reqs {
-				q.journey.Event("seal", s.cfg.Card, note)
-			}
-		}
-		if byDeadline && len(reqs) < BatchSize {
-			// A deadline-fired partial batch is the work-stealing hook's
-			// bread and butter: a sibling card may have lanes of the same
-			// workload open, or simply be idle.
-			reqs = reqs[s.offerSteal(w, reqs, StealPartialDeadline):]
-			if len(reqs) == 0 {
-				return
-			}
-		}
-		enqueue(&batch{work: w, reqs: reqs})
-	}
-	failAll := func() {
-		for w, p := range open {
-			p.timer.Stop()
-			for _, r := range p.reqs {
-				s.finish(r, Result{Err: ErrCanceled}, nil)
-			}
-			s.stats.pendingLanes.Add(float64(-len(p.reqs)))
-			delete(open, w)
-		}
-		for cls := range overflow {
-			for _, b := range overflow[cls] {
-				for _, r := range b.reqs {
-					s.finish(r, Result{Err: ErrCanceled}, nil)
-				}
-			}
-			overflow[cls] = nil
-		}
-		s.stats.overflowDepth.Set(0)
-	}
-	handle := func(req *request) {
-		if s.breaker.degraded() {
-			// Breaker open: don't buffer toward a vector batch that will
-			// not run. A healthy sibling card may take the request;
-			// otherwise dispatch straight to the scalar fallback, one
-			// request per job.
-			reqs := []*request{req}
-			if s.offerSteal(req.work, reqs, StealDegraded) > 0 {
-				return
-			}
-			enqueue(&batch{work: req.work, reqs: reqs, fallback: true})
-			return
-		}
-		p := open[req.work]
-		if p == nil {
-			gen++
-			p = &pending{gen: gen, timer: s.armDeadline(req.work, gen),
-				openedAt: time.Now()}
-			open[req.work] = p
-		}
-		p.reqs = append(p.reqs, req)
-		s.stats.pendingLanes.Add(1)
-		if len(p.reqs) == BatchSize {
-			dispatch(req.work, false)
-		}
-	}
-	gracefulFlush := func() {
-		// Graceful close: dispatch every open partial batch, then flush
-		// the overflow lists through the blocking path — Close has
-		// already released parked workers, so the queues drain.
-		for w := range open {
-			dispatch(w, false)
-		}
-		for cls := range overflow {
-			for _, b := range overflow[cls] {
-				s.submitBatch(b)
-			}
-			overflow[cls] = nil
-		}
-		s.stats.overflowDepth.Set(0)
-	}
-
-	heavyIn, lightIn := s.intake, s.intakeLight
-	for {
-		// Per-class backpressure: with a class's overflow list QueueDepth
-		// deep, stop pulling that class's intake until a poll drains some
-		// of it. A closed-and-drained intake goes nil permanently.
-		intake := heavyIn
-		if len(overflow[phiwork.ClassHeavy]) >= s.cfg.QueueDepth {
-			intake = nil
-		}
-		intakeLight := lightIn
-		if len(overflow[phiwork.ClassLight]) >= s.cfg.QueueDepth {
-			intakeLight = nil
-		}
-		if len(overflow[phiwork.ClassHeavy])+len(overflow[phiwork.ClassLight]) > 0 && !pollArmed {
-			poll.Reset(overflowPollInterval)
-			pollArmed = true
-		}
-		select {
-		case <-s.ctx.Done():
-			failAll()
-			return
-		case <-poll.C:
-			pollArmed = false
-			drainOverflow()
-		case msg := <-s.flush:
-			if p, ok := open[msg.work]; ok && p.gen == msg.gen {
-				s.stats.deadlineFires.Add(1)
-				dispatch(msg.work, true)
-			}
-		case req, ok := <-intake:
-			if !ok {
-				heavyIn = nil
-				if lightIn == nil {
-					gracefulFlush()
-					return
-				}
-				continue
-			}
-			handle(req)
-		case req, ok := <-intakeLight:
-			if !ok {
-				lightIn = nil
-				if heavyIn == nil {
-					gracefulFlush()
-					return
-				}
-				continue
-			}
-			handle(req)
-		}
-	}
-}
-
-// submitBatch hands a batch to the pool through the blocking path,
-// failing its requests if the pool is already dead. Only the final
-// overflow flush on graceful close uses it; live dispatch goes through
-// the scheduler's non-blocking enqueue.
-func (s *Server) submitBatch(b *batch) {
-	if b.enqueuedAt.IsZero() {
-		b.enqueuedAt = time.Now()
-	}
-	if err := s.pool.Submit(s.ctx, b); err != nil {
-		// The pool's context is a child of s.ctx, so cancellation can
-		// surface either as the pool's sentinel or as the caller
-		// context's own error, depending on which select case wins.
-		if errors.Is(err, phipool.ErrCanceled) || errors.Is(err, context.Canceled) {
-			err = ErrCanceled
-		}
-		for _, r := range b.reqs {
-			s.finish(r, Result{Err: err}, nil)
-		}
-	}
-}
-
-// armDeadline schedules a flush for (work, gen) after the fill deadline.
-// The generation guard makes a timer that races its own Stop harmless:
-// the scheduler ignores flushes whose generation is stale.
-func (s *Server) armDeadline(w phiwork.Workload, gen uint64) *time.Timer {
-	return time.AfterFunc(s.cfg.FillDeadline, func() {
-		select {
-		case s.flush <- flushMsg{work: w, gen: gen}:
-		case <-s.ctx.Done():
-		case <-s.schedDone:
-		}
-	})
-}
-
-// rejectBatch fails a batch abandoned in the dispatch queue by
-// cancellation.
-func (s *Server) rejectBatch(b *batch) {
-	for _, r := range b.reqs {
-		s.finish(r, Result{Err: ErrCanceled}, nil)
-	}
 }
 
 // Stats returns a consistent snapshot of the server's counters.
 func (s *Server) Stats() Stats {
 	bstate, trips := s.breaker.snapshot()
-	return s.stats.snapshot(s.cfg, s.pool.QueueDepth(),
-		s.pool.JobsTimedOut(), s.pool.WorkerRespawns(), bstate, trips)
+	return s.stats.snapshot(s.cfg, bstate, trips)
 }

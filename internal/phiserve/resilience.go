@@ -115,7 +115,8 @@ func (w *worker) scalarEngine() engine.Engine {
 	return w.scalar
 }
 
-// newWorker is the pool's state factory.
+// newWorker builds a fresh worker state: at Start, and when a stalled
+// worker respawns.
 func (s *Server) newWorker() *worker {
 	idx := int(s.workerSeq.Add(1)) - 1
 	r := s.cfg.Resilience
@@ -185,10 +186,10 @@ func (s *Server) runBatch(w *worker, b *batch) {
 			outcome = w.inj.NextPass()
 		}
 		if outcome == faultsim.PassStall {
-			// The hardware thread wedged mid-pass. The pool's ExecTimeout
-			// monitor (if configured) has respawned the worker and
-			// re-dispatched the batch; this goroutine is the zombie. Park
-			// until shutdown, then serve whatever is still unresolved.
+			// The hardware thread wedged mid-pass. The ExecTimeout bound
+			// (if configured) respawns the worker and re-dispatches the
+			// batch; this goroutine is then the zombie. Park until
+			// shutdown, then serve whatever is still unresolved.
 			s.stats.stalledPasses.Inc()
 			s.tracer.Instant(w.tid(), "stall",
 				telemetry.Args{"lanes": len(pending), "attempt": attempt})
@@ -435,11 +436,11 @@ func (s *Server) runScalarOn(eng engine.Engine, reqs []*request, attempts int, t
 	}
 }
 
-// retryTimedOut is the pool's onTimeout callback: the batch exceeded
-// ExecTimeout (a stalled worker was just respawned). Re-dispatch it
-// non-blockingly while retry budget remains; otherwise — or when the
-// dispatch queue is full — serve the leftovers inline on a fresh scalar
-// engine. Runs on the (respawned) worker's monitor goroutine, so inline
+// retryTimedOut re-dispatches a batch that exceeded ExecTimeout (its
+// stalled worker was just respawned): back onto its sealed list while
+// retry budget remains; otherwise — or when QueueDepth batches of its
+// class are already waiting — it serves the leftovers inline on a fresh
+// scalar engine. Runs on the respawned worker's own loop, so inline
 // scalar work here occupies exactly the hardware thread that stalled.
 func (s *Server) retryTimedOut(b *batch) {
 	nb := &batch{
@@ -457,7 +458,7 @@ func (s *Server) retryTimedOut(b *batch) {
 	if !nb.fallback && nb.attempts <= s.cfg.Resilience.MaxRetries && s.breaker.healthy() {
 		budget := s.cfg.Resilience.Budget
 		if budget.Allow(len(nb.reqs)) {
-			if s.pool.TrySubmit(nb) {
+			if s.push(nb, s.cfg.QueueDepth) == nil {
 				return
 			}
 			// Withdrawn but not re-dispatched (queue full): give the

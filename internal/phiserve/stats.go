@@ -24,21 +24,22 @@ type Stats struct {
 	// Batches is the number of kernel passes executed (retry passes
 	// included; scalar fallback ops are not batches).
 	Batches int64
-	// DeadlineFires counts batches dispatched by the fill deadline rather
-	// than by filling all lanes.
+	// DeadlineFires counts batches sealed by the fill deadline rather than
+	// by filling all lanes.
 	DeadlineFires int64
 	// FillHist[i] is the number of executed batches with i+1 live lanes
-	// (a batch cannot execute with zero live lanes — dispatch requires at
+	// (a batch cannot execute with zero live lanes — sealing requires at
 	// least one request — so the histogram starts at one lane).
 	FillHist [BatchSize]int64
 	// MeanFill is the mean number of live lanes per executed batch; 0
 	// when no batch has executed.
 	MeanFill float64
 	// PendingLanes is the number of requests currently buffered in open
-	// (not yet dispatched) batches.
+	// (not yet sealed) batches.
 	PendingLanes int
-	// QueueDepth is the number of batches currently waiting in the
-	// dispatch queue.
+	// QueueDepth is the number of sealed batches currently waiting in the
+	// dispatch queue: per class, the first QueueDepth of its sealed list
+	// (the rest are overflow).
 	QueueDepth int
 	// TotalSimCycles is the sum of simulated cycles across kernel passes.
 	TotalSimCycles float64
@@ -65,7 +66,7 @@ type Stats struct {
 	// stalls observed by the execution path).
 	StalledPasses int64
 	// TimedOutBatches counts batch executions abandoned by the
-	// ExecTimeout monitor.
+	// ExecTimeout bound.
 	TimedOutBatches int64
 	// WorkerRespawns counts workers rebuilt after a stall.
 	WorkerRespawns int64
@@ -88,20 +89,21 @@ type Stats struct {
 	// AdoptedLanes counts requests this server accepted from siblings
 	// via Adopt.
 	AdoptedLanes int64
-	// OverflowBatches counts dispatches that found the queue full and
-	// parked on the scheduler's overflow list (each counted once).
+	// OverflowBatches counts seals that found QueueDepth batches of their
+	// class already waiting, so the batch joined the overflow (each
+	// counted once).
 	OverflowBatches int64
 
 	// ExpiredLanes counts requests resolved with ErrDeadlineExceeded —
 	// rejected at the door or dropped at a pre-execution checkpoint (seal,
-	// pool dequeue, pre-pass, retry, scalar drain) before burning cycles.
+	// dequeue, pre-pass, retry, scalar drain) before burning cycles.
 	ExpiredLanes int64
 	// CanceledLanes counts requests dropped at a pre-execution checkpoint
-	// because their context was canceled after intake (the request still
+	// because their context was canceled after admission (the request still
 	// held a lane; it resolves with ErrCanceled without executing).
 	CanceledLanes int64
-	// OverflowDropped counts requests shed with ErrOverloaded because the
-	// scheduler's overflow list hit Config.OverflowCap.
+	// OverflowDropped counts requests shed with ErrOverloaded because their
+	// class's overflow was at Config.OverflowCap when their batch sealed.
 	OverflowDropped int64
 	// RetryBudgetDenied counts lane-retries refused by the shared retry
 	// budget (the lanes degraded straight to the scalar fallback).
@@ -176,13 +178,17 @@ type statsAcc struct {
 	fill                         *telemetry.Histogram
 	simLatency                   *telemetry.Histogram // seconds, success only
 	wallLatency                  *telemetry.Histogram // host seconds submit->resolve
-	queueWait                    *telemetry.Histogram // host seconds dispatch->execute
+	queueWait                    *telemetry.Histogram // host seconds push->execute
 	cycles, fallbackCycles       *telemetry.FloatCounter
 	phaseCycles                  [vbatch.NumPhases]*telemetry.FloatCounter
 	breakerGauge                 *telemetry.Gauge
 	lanesStolen, lanesAdopted    *telemetry.Counter
 	overflowed                   *telemetry.Counter
+	queueDepth                   [2]*telemetry.Gauge // per phiwork.Class
 	overflowDepth                *telemetry.Gauge
+	batchesRun, batchesRejected  *telemetry.Counter
+	batchesExpired               *telemetry.Counter
+	timedOut, respawns           *telemetry.Counter
 	expiredLanes, canceledLanes  *telemetry.Counter
 	overflowDropped              *telemetry.Counter
 	budgetDenied                 *telemetry.Counter
@@ -245,7 +251,7 @@ func newStatsAcc(reg *telemetry.Registry, labels []string) *statsAcc {
 		fallbackOps: reg.Counter("phiserve_fallback_ops_total",
 			"requests served by the scalar non-CRT path", labels...),
 		pendingLanes: reg.Gauge("phiserve_pending_lanes",
-			"requests buffered in open (not yet dispatched) batches", labels...),
+			"requests buffered in open (not yet sealed) batches", labels...),
 		fill: reg.Histogram("phiserve_batch_fill_lanes",
 			"live lanes per executed batch",
 			telemetry.LinearBuckets(1, 1, BatchSize), labels...),
@@ -256,7 +262,7 @@ func newStatsAcc(reg *telemetry.Registry, labels []string) *statsAcc {
 			"host wall time from SubmitWork to resolve",
 			telemetry.Pow2Buckets(1e-6, 16), labels...),
 		queueWait: reg.Histogram("phiserve_queue_wait_seconds",
-			"host wall time a batch waited in the dispatch queue",
+			"host wall time a sealed batch waited in the card queue",
 			telemetry.Pow2Buckets(1e-6, 16), labels...),
 		cycles: reg.FloatCounter("phiserve_sim_cycles_total",
 			"simulated cycles across kernel passes", labels...),
@@ -269,9 +275,19 @@ func newStatsAcc(reg *telemetry.Registry, labels []string) *statsAcc {
 		lanesAdopted: reg.Counter("phiserve_lanes_adopted_total",
 			"requests adopted from sibling servers", labels...),
 		overflowed: reg.Counter("phiserve_dispatch_overflow_total",
-			"dispatches parked on the scheduler overflow list", labels...),
+			"seals that found QueueDepth batches of their class waiting", labels...),
 		overflowDepth: reg.Gauge("phiserve_dispatch_overflow_depth",
-			"batches currently on the scheduler overflow list", labels...),
+			"sealed batches waiting beyond each class's QueueDepth", labels...),
+		batchesRun: reg.Counter("phiserve_batches_run_total",
+			"sealed batches workers ran to completion", labels...),
+		batchesRejected: reg.Counter("phiserve_batches_rejected_total",
+			"sealed batches failed unrun by cancellation", labels...),
+		batchesExpired: reg.Counter("phiserve_batches_expired_total",
+			"sealed batches dropped at dequeue with no live lane", labels...),
+		timedOut: reg.Counter("phiserve_batches_timed_out_total",
+			"batch executions abandoned by the ExecTimeout bound", labels...),
+		respawns: reg.Counter("phiserve_worker_respawns_total",
+			"workers rebuilt with fresh state after a stall", labels...),
 		expiredLanes: reg.Counter("phiserve_requests_expired_total",
 			"requests resolved with ErrDeadlineExceeded before execution", labels...),
 		canceledLanes: reg.Counter("phiserve_canceled_lanes_total",
@@ -280,6 +296,11 @@ func newStatsAcc(reg *telemetry.Registry, labels []string) *statsAcc {
 			"requests shed with ErrOverloaded at the overflow cap", labels...),
 		budgetDenied: reg.Counter("phiserve_retry_budget_denied_total",
 			"lane-retries refused by the shared retry budget", labels...),
+	}
+	for _, c := range []phiwork.Class{phiwork.ClassHeavy, phiwork.ClassLight} {
+		a.queueDepth[c] = reg.Gauge("phiserve_queue_depth",
+			"sealed batches waiting in the dispatch queue, by class",
+			L("class", c.String())...)
 	}
 	for p := 0; p < vbatch.NumPhases; p++ {
 		a.phaseCycles[p] = reg.FloatCounter("phiserve_phase_sim_cycles_total",
@@ -335,7 +356,7 @@ func (a *statsAcc) recordBatch(kind phiwork.Kind, fill int, cycles float64, phas
 // snapshot assembles a Stats view from the registry. Individual reads are
 // atomic; after a quiescent point (Close, or a drained pipeline) the
 // snapshot is exact.
-func (a *statsAcc) snapshot(cfg Config, queueDepth int, timedOut, respawns int64, bstate breakerState, trips int64) Stats {
+func (a *statsAcc) snapshot(cfg Config, bstate breakerState, trips int64) Stats {
 	st := Stats{
 		Submitted:         a.submitted.Value(),
 		Completed:         a.completed.Value(),
@@ -343,13 +364,13 @@ func (a *statsAcc) snapshot(cfg Config, queueDepth int, timedOut, respawns int64
 		Batches:           a.batches.Value(),
 		DeadlineFires:     a.deadlineFires.Value(),
 		PendingLanes:      int(a.pendingLanes.Value()),
-		QueueDepth:        queueDepth,
+		QueueDepth:        int(a.queueDepth[0].Value() + a.queueDepth[1].Value()),
 		TotalSimCycles:    a.cycles.Value(),
 		FaultsDetected:    a.faultsDetected.Value(),
 		KernelFaults:      a.kernelFaults.Value(),
 		StalledPasses:     a.stalledPasses.Value(),
-		TimedOutBatches:   timedOut,
-		WorkerRespawns:    respawns,
+		TimedOutBatches:   a.timedOut.Value(),
+		WorkerRespawns:    a.respawns.Value(),
 		Retries:           a.retries.Value(),
 		FallbackOps:       a.fallbackOps.Value(),
 		FallbackCycles:    a.fallbackCycles.Value(),

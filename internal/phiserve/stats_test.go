@@ -28,14 +28,14 @@ func TestStatsSnapshotZeroCompleted(t *testing.T) {
 	}
 
 	// Fresh accumulator: nothing happened at all.
-	check(a.snapshot(Config{}, 0, 0, 0, breakerClosed, 0))
+	check(a.snapshot(Config{}, breakerClosed, 0))
 
 	// Work happened but nothing completed: submissions all failed, and a
 	// pass executed whose lanes were all answered elsewhere.
 	a.submitted.Add(3)
 	a.failed.Add(3)
 	a.recordBatch(phiwork.KindRSAPrivate, 3, 5000, knc.PhaseCycles{})
-	st := a.snapshot(Config{}, 0, 0, 0, breakerClosed, 0)
+	st := a.snapshot(Config{}, breakerClosed, 0)
 	check(st)
 	if st.Batches != 1 || st.MeanFill != 3 {
 		t.Fatalf("batch accounting broken: %+v", st)

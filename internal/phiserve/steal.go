@@ -10,9 +10,9 @@ import (
 // This file is the work-stealing seam between a single-card Server and a
 // multi-card router (internal/phifleet). A server never knows its
 // siblings: at the three moments it holds work it would rather not serve
-// locally it calls Config.Redispatch with the operations wrapped as
-// StolenOp values, and the hook moves however many it wants to another
-// server via Adopt. The moved requests are the *same* request objects —
+// locally it calls Config.Redispatch, always outside its card lock, with
+// the operations wrapped as StolenOp values, and the hook moves however
+// many it wants to another server via Adopt. The moved requests are the *same* request objects —
 // the done CAS in finish keeps resolution exactly-once no matter which
 // card answers — so nothing is re-counted as submitted and the response
 // channel the caller holds keeps working.
@@ -69,8 +69,9 @@ func (o StolenOp) Hops() int { return int(o.q.hops.Load()) }
 // workload, the offered operations (front of the donor's batch) and the
 // reason, and returns how many operations — counted from the front — it
 // moved to another server via Adopt. The donor keeps the rest. The hook
-// runs on the donor's scheduler or worker goroutine, so it must not block
-// on the donor (Adopt on a sibling is non-blocking and safe).
+// runs on the donor's submitting, timer or worker goroutine, never under
+// its card lock, so it may read the donor's Load; it must not block on
+// the donor (Adopt on a sibling is non-blocking and safe).
 type RedispatchFunc func(w phiwork.Workload, ops []StolenOp, reason StealReason) int
 
 // offerSteal runs the redispatch hook over reqs and returns how many
@@ -103,77 +104,57 @@ func (s *Server) offerSteal(w phiwork.Workload, reqs []*request, reason StealRea
 }
 
 // Adopt takes ownership of operations stolen from a sibling server,
-// pushing them into this server's intake so they aggregate into batches
-// like native traffic. It is non-blocking: the return value is how many
-// ops were accepted (counted from the front; already-resolved ops count
-// as accepted and are dropped). The remainder stays with the donor. An
-// op adopted here resolves on this card — completed/failed accounting
-// lands on the adopter, submitted stays with the donor, so fleet-wide
-// sums still balance.
+// appending them to this server's open batches so they aggregate like
+// native traffic. It is non-blocking: the return value is how many ops
+// were accepted (counted from the front; already-resolved ops count as
+// accepted and are dropped). Once an op's class has 2*QueueDepth sealed
+// batches waiting — where SubmitWork would block — the remainder goes
+// back to the donor. An op adopted here resolves on this card —
+// completed/failed accounting lands on the adopter, submitted stays with
+// the donor, so fleet-wide sums still balance.
 func (s *Server) Adopt(ops []StolenOp) int {
+	n := 0
+	now := time.Now()
+	var dead []*request
+	var full []*pending
 	s.mu.Lock()
-	if !s.started || s.closed {
+	if !s.started || s.closed || s.ctx.Err() != nil {
 		s.mu.Unlock()
 		return 0
 	}
-	s.inFlight.Add(1)
-	s.mu.Unlock()
-	defer s.inFlight.Done()
-	select {
-	case <-s.ctx.Done():
-		return 0
-	default:
-	}
-	n := 0
-	now := time.Now()
 	for _, o := range ops {
-		if o.q.done.Load() {
-			n++ // nothing left to move; the donor must not serve it either
-			continue
-		}
-		// Judge the op before paying to move it: an expired or abandoned
-		// lane resolves here and counts as taken, so neither card runs it.
-		if o.q.ctxDone() {
-			o.q.journey.Event("checkpoint", s.cfg.Card, "adopt")
-			s.finish(o.q, Result{Err: ErrCanceled}, s.stats.canceledLanes)
+		q := o.q
+		// Judge the op before paying to move it: a resolved, expired or
+		// abandoned lane counts as taken, so neither card runs it.
+		if q.done.Load() || q.ctxDone() || q.expiredAt(now) {
+			dead = append(dead, q)
 			n++
 			continue
 		}
-		if o.q.expiredAt(now) {
-			o.q.journey.Event("checkpoint", s.cfg.Card, "adopt")
-			s.finish(o.q, Result{Err: ErrDeadlineExceeded}, s.stats.expiredLanes)
-			n++
-			continue
+		if s.fullLocked(q.work.Class()) {
+			break // this card is not as idle as the router thought
 		}
-		o.q.hops.Add(1)
-		// Route by class, like a native submission: a light op adopted
-		// onto the heavy intake would defeat the fast lane it was kept
-		// out of the heavy queue for.
-		intake := s.intake
-		if o.q.work.Class() == phiwork.ClassLight {
-			intake = s.intakeLight
+		q.hops.Add(1)
+		q.journey.Event("adopt", s.cfg.Card, "")
+		s.stats.lanesAdopted.Inc()
+		if p := s.addLocked(q); p != nil {
+			full = append(full, p)
 		}
-		select {
-		case intake <- o.q:
-			o.q.journey.Event("adopt", s.cfg.Card, "")
-			s.stats.lanesAdopted.Inc()
-			n++
-		default:
-			// Intake full — this card is not as idle as the router
-			// thought. Give the op back rather than block the donor.
-			o.q.hops.Add(-1)
-			return n
-		}
+		n++
+	}
+	s.mu.Unlock()
+	s.dropDeadLanes(dead, "adopt")
+	for _, p := range full {
+		s.seal(p, false)
 	}
 	return n
 }
 
 // Load is a cheap congestion signal for routers: requests buffered in
-// open batches plus a lane-count upper bound for the batches waiting in
-// the dispatch queue and the scheduler's overflow list.
+// open batches plus a lane-count upper bound for the sealed batches
+// waiting in the card queue. It reads gauges, never the card lock.
 func (s *Server) Load() int {
-	queued := s.pool.QueueDepth() + int(s.stats.overflowDepth.Value())
-	return int(s.stats.pendingLanes.Value()) + queued*BatchSize
+	return int(s.stats.pendingLanes.Value()) + int(s.waiting())*BatchSize
 }
 
 // Degraded reports whether the circuit breaker currently bypasses the

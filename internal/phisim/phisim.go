@@ -1,7 +1,7 @@
 // Package phisim is the virtual-time discrete-event engine behind the
 // serving experiments A6–A10.
 //
-// The live stack (phiadmit → phifleet → phiserve → phipool) batches by the
+// The live stack (phiadmit → phifleet → phiserve) batches by the
 // host wall clock, so its latency and throughput vary run to run. The
 // engine replays its policies in simulated machine time instead, costing
 // every kernel pass with metered cycle counts the caller supplies, so a

@@ -11,25 +11,36 @@ import (
 // LockBlock flags potentially-blocking operations performed while a
 // sync.Mutex/RWMutex is held: channel sends and receives, selects without
 // a default clause, ranging over a channel, sync.WaitGroup.Wait, and the
-// stack's known blocking calls (SubmitWork, which blocks on intake
-// backpressure; DoWork, which blocks on the result; phipool's Submit; and
-// the Redispatch hook). This is the deadlock class behind PR 5's head-of-line fix: the
-// scheduler blocked on a full dispatch queue while owning state the
-// drainers needed. A lock held across a blocking operation couples the
-// lock's critical section to another goroutine's progress — the shape
-// every deadlock in this codebase has taken.
+// stack's known blocking calls (SubmitWork, which blocks on card-queue
+// backpressure; DoWork, which blocks on the result; Submit; and the
+// work-stealing seam: the Redispatch hook, phiserve's offerSteal wrapper
+// around it, and Adopt). This is the deadlock class behind the
+// head-of-line fix of the multi-card change: the scheduler blocked on a
+// full dispatch queue while owning state the drainers needed. A lock
+// held across a blocking operation couples the lock's critical section
+// to another goroutine's progress — the shape every deadlock in this
+// codebase has taken.
+//
+// The steal seam is the card queue's version of it: the fleet's hook
+// reads the donor card's Load and calls a sibling's Adopt, which takes
+// the sibling's card lock. A card lock held across offerSteal is a
+// self-deadlock once Load or a seal needs it, and one held across Adopt
+// orders two card locks against a sibling doing the same.
 //
 // The analysis is intraprocedural and flow-naive on purpose: it tracks
 // Lock/RLock..Unlock/RUnlock spans down straight-line statement lists,
 // follows into if/for/switch bodies, and treats `defer mu.Unlock()` as
 // holding to function end. Function literals and go statements start
-// fresh (their bodies run elsewhere or later). Non-blocking shapes are
-// deliberately exempt: TrySubmit, and selects with a default clause
-// (including the sends/receives inside their comm clauses — those are
-// attempts, not waits).
+// fresh (their bodies run elsewhere or later). It does not follow calls,
+// so it cannot see a blocking call through a wrapper: that is why
+// offerSteal is listed by name beside the Redispatch field it calls.
+// Non-blocking shapes are deliberately exempt:
+// TrySubmit-style names, and selects with a default clause (including the
+// sends/receives inside their comm clauses — those are attempts, not
+// waits).
 var LockBlock = &analysis.Analyzer{
 	Name: "lockblock",
-	Doc:  "no channel operation or blocking Submit/SubmitWork/DoWork/Redispatch while a mutex is held",
+	Doc:  "no channel operation or blocking Submit/SubmitWork/DoWork/Redispatch/offerSteal/Adopt while a mutex is held",
 	Run:  runLockBlock,
 }
 
@@ -41,6 +52,8 @@ var blockingCalls = map[string]bool{
 	"SubmitWork": true,
 	"DoWork":     true,
 	"Redispatch": true,
+	"offerSteal": true,
+	"Adopt":      true,
 }
 
 // lockState maps a mutex expression's source text ("s.mu") to the

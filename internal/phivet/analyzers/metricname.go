@@ -16,11 +16,9 @@ import (
 // registration discipline, turning PR 5's runtime duplicate-panic into a
 // vet error:
 //
-//   - Metric names must be compile-time string constants (the one
-//     sanctioned exception is the phipool.Instrument shape, `prefix +
-//     "_suffix"` with a constant suffix). A computed name defeats every
-//     static check below and makes grep-ability — the reason the names
-//     exist — a lie.
+//   - Metric names must be compile-time string constants, with no
+//     exception. A computed name defeats every static check below and
+//     makes grep-ability — the reason the names exist — a lie.
 //   - Names follow Prometheus form (^[a-z][a-z0-9_]*$) and carry the
 //     registering package's prefix ("phiserve_..." in phiserve,
 //     "telemetry_..." in telemetry), so a scrape's origin is readable and
@@ -194,13 +192,10 @@ func collectMetricSites(pass *analysis.Pass, report bool) []metricSite {
 							"metric name %q must carry this package's prefix %q", name, prefix+"_")
 					}
 				}
-			case prefixedName(pass, call.Args[0]):
-				// The Instrument shape: prefix parameter + constant suffix.
-				// The family resolves at the caller; nothing to dedup here.
 			default:
 				if report {
 					pass.Reportf(site.pos,
-						"metric name must be a compile-time constant (or prefix+\"_suffix\" with a constant suffix) so uniqueness and grep-ability are checkable")
+						"metric name must be a compile-time constant so uniqueness and grep-ability are checkable")
 				}
 			}
 			site.labels = renderLabelArgs(pass, call.Args, m.labelStart)
@@ -217,21 +212,6 @@ func collectMetricSites(pass *analysis.Pass, report bool) []metricSite {
 		})
 	})
 	return sites
-}
-
-// prefixedName recognizes `prefix + "_suffix"` where the suffix is a
-// well-formed constant and the prefix is a non-constant expression (a
-// parameter, as in phipool.Instrument).
-func prefixedName(pass *analysis.Pass, e ast.Expr) bool {
-	bin, ok := e.(*ast.BinaryExpr)
-	if !ok || bin.Op != token.ADD {
-		return false
-	}
-	suffix, ok := pass.ConstString(bin.Y)
-	if !ok || !strings.HasPrefix(suffix, "_") {
-		return false
-	}
-	return metricNameRE.MatchString("x" + suffix)
 }
 
 // checkWorkloadLabels enforces the `workload` label vocabulary: a

@@ -23,11 +23,22 @@ func (p *pool) TrySubmit(v int) bool { return true }
 func (p *pool) Redispatch(v int)     {}
 
 // server has the serving layers' submission shape: SubmitWork blocks on
-// intake backpressure, DoWork on the result.
+// card-queue backpressure, DoWork on the result.
 type server struct{}
 
 func (s *server) SubmitWork(v int) (<-chan int, error) { return nil, nil }
 func (s *server) DoWork(v int) (int, error)            { return 0, nil }
+
+// card has phiserve's steal seam: offerSteal wraps the Redispatch hook,
+// which reads this card's Load and calls a sibling's Adopt.
+type card struct {
+	mu      sync.Mutex
+	pending []int
+}
+
+func (c *card) offerSteal(v []int) int { return 0 }
+func (c *card) Adopt(v []int) int      { return 0 }
+func (c *card) Load() int              { return 0 }
 
 func sendHeld(q *queue) {
 	q.mu.Lock()
@@ -135,6 +146,33 @@ func redispatchHeld(q *queue, p *pool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	p.Redispatch(1) // want `blocking Redispatch call while holding q\.mu`
+}
+
+func offerStealHeld(c *card) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.pending = c.pending[c.offerSteal(c.pending):] // want `blocking offerSteal call while holding c\.mu`
+}
+
+func adoptHeld(c, sibling *card) int {
+	c.mu.Lock()
+	n := sibling.Adopt(c.pending) // want `blocking Adopt call while holding c\.mu`
+	c.mu.Unlock()
+	return n
+}
+
+func offerStealReleased(c *card) int {
+	c.mu.Lock()
+	reqs := c.pending
+	c.pending = nil
+	c.mu.Unlock()
+	return c.offerSteal(reqs) // lock released first, as the card queue's seal does
+}
+
+func loadHeld(c *card) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.Load() // not a blocking call
 }
 
 func trySubmitHeld(q *queue, p *pool) bool {

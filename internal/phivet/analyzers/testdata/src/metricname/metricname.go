@@ -35,10 +35,10 @@ func New(reg *telemetry.Registry, s *stats) {
 	reg.GaugeFunc("phiserve_fixture_card_load", "per-card load", func() float64 { return s.load }, "card", "1")
 }
 
-// Instrument is the sanctioned caller-supplied-prefix shape (the
-// phipool.Instrument idiom): a parameter plus a constant "_suffix".
+// Instrument builds the name from a caller-supplied prefix: the family
+// is only known at the call site, so the name is as computed as any other.
 func Instrument(reg *telemetry.Registry, prefix string) {
-	reg.Gauge(prefix+"_fixture_depth", "queue depth")
+	reg.Gauge(prefix+"_fixture_depth", "queue depth") // want `must be a compile-time constant`
 }
 
 // ensureLazy is a construction path by the ensure* convention.

@@ -66,11 +66,11 @@ type Class uint8
 // The lane classes.
 const (
 	// ClassHeavy marks full private-op-scale batches (rsa-priv, pss-sign,
-	// the DHE kinds): these ride the ordinary bounded dispatch queue.
+	// the DHE kinds): these wait on the card queue's heavy list.
 	ClassHeavy Class = iota
-	// ClassLight marks cheap public-op batches: the pool serves these
-	// from a dedicated fast lane so a flood of heavy batches cannot
-	// starve them past their SLO.
+	// ClassLight marks cheap public-op batches: they wait on their own
+	// list, which a free worker empties before the heavy one, so a flood
+	// of heavy batches cannot starve them past their SLO.
 	ClassLight
 )
 

@@ -159,8 +159,8 @@ func (w *PSSSign) ExecuteScalar(eng engine.Engine, in Input) (bn.Nat, error) {
 }
 
 // RSAPublic is the cheap lane class: m^E mod N with E = 65537 — signature
-// verification and OAEP/PKCS1 encryption. ClassLight: the pool serves its
-// batches from the fast lane so private-op floods cannot starve it.
+// verification and OAEP/PKCS1 encryption. ClassLight: workers take its
+// batches before any heavy one, so private-op floods cannot starve it.
 type RSAPublic struct {
 	Key *rsakit.PublicKey
 	tag string

@@ -263,7 +263,7 @@ func (g *Gauge) writeProm(b *strings.Builder) {
 // Func metrics (read-through gauges/counters over external state)
 
 // FuncMetric exposes a value computed at scrape time — the bridge for
-// state another component already tracks (e.g. phipool's queue depth).
+// state another component already tracks (e.g. a server's delay estimate).
 type FuncMetric struct {
 	d  desc
 	fn func() float64

@@ -2,7 +2,7 @@
 // pipeline: a lock-free metrics registry (counters, gauges, log-bucketed
 // histograms) with Prometheus-text and expvar-style JSON exposition, and a
 // bounded trace recorder that emits Chrome trace-event JSON viewable in
-// Perfetto (one track per phipool worker, kernel passes as slices,
+// Perfetto (one track per serving worker, kernel passes as slices,
 // fault/retry/breaker transitions as instant events, and request
 // lifetimes as async spans, which the journey recorder writes).
 //
@@ -13,7 +13,7 @@
 // (measured by internal/bench).
 //
 // The package deliberately imports nothing from the rest of the module so
-// that every layer (vpu, knc, phipool, phiserve, rsakit, the facade) can
+// that every layer (vpu, knc, phiserve, rsakit, the facade) can
 // depend on it without cycles.
 package telemetry
 

@@ -96,7 +96,9 @@ func (t *Tracer) Instrument(r *Registry) {
 }
 
 // NameThread assigns a display name to a track (a tid). In the exported
-// trace each phipool worker gets one track; tid 0 is the scheduler.
+// trace each serving worker gets one track, and each card one control
+// track for its batch fills, steals, breaker and timeout events (tid 0
+// for a standalone server).
 func (t *Tracer) NameThread(tid int64, name string) {
 	if t == nil {
 		return

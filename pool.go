@@ -16,16 +16,3 @@ type PoolReport = phipool.Report
 func NewPool(mach Machine, threads int, newEngine func() Engine) (*Pool, error) {
 	return phipool.New(mach, threads, newEngine)
 }
-
-// PersistentPool is the long-lived variant of Pool: workers stay up
-// between jobs, each owning a private engine; a bounded queue applies
-// backpressure to Submit; Close drains gracefully and context
-// cancellation rejects queued jobs (see internal/phipool).
-type PersistentPool = phipool.EngineServer
-
-// NewPersistentPool creates a stopped persistent pool of `threads`
-// workers with a job queue of depth `queue`. Call Start before Submit
-// and Close when done.
-func NewPersistentPool(mach Machine, threads, queue int, newEngine func() Engine) (*PersistentPool, error) {
-	return phipool.NewEngineServer(mach, threads, queue, newEngine)
-}

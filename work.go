@@ -38,8 +38,8 @@ const (
 	// WorkloadPSSSign is the private op over host-side PSS-encoded reps
 	// (EncodePSSSHA256 shapes the input).
 	WorkloadPSSSign = phiwork.KindPSSSign
-	// WorkloadPublic is m^65537 — the cheap verify/encrypt class served
-	// from the light fast lane.
+	// WorkloadPublic is m^65537 — the cheap verify/encrypt class, whose
+	// batches workers take before any heavy batch.
 	WorkloadPublic = phiwork.KindPublic
 )
 
